@@ -56,11 +56,11 @@ from .gibbs import (
 from .kms import (
     StripFunction,
     alpha_phi_z,
-    alpha_psi_z,
     cauchy_mean_residual,
     nonhermitian_density_residual,
     strip_f,
     strip_function,
+    strip_values,
     verify_kms_like,
     verify_kms_like_psi,
 )

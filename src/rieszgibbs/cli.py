@@ -216,12 +216,14 @@ def load_config_file(path: str | os.PathLike) -> RunConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, np.integer):
+        return str(int(value))
     return str(value)
 
 
@@ -311,12 +313,7 @@ def cmd_verify(config: RunConfig, jobs: int = 1, timestamp: bool = True) -> int:
     )
 
     if "kms" in results:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 100])))
-        x = models.random_observable(inst.system.dim, rng)
-        y = models.random_observable(inst.system.dim, rng)
-        for kind in ("phi", "psi"):
-            sf = kms_mod.strip_function(inst.system, inst.spectrum, x, y, kind=kind)
-            rows = kms_mod.verification_rows(sf, config.t_grid)
+        for kind, rows in results["kms"].rows.items():
             _write_csv(out / f"kms_{kind}.csv", kms_mod.KMS_COLUMNS, rows, timestamp)
     if "entropy" in results:
         n_values = sorted({8, 16, 32, max(8, config.model.n)})

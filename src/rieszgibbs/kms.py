@@ -13,23 +13,39 @@ one:
     f(t + i beta) = omega(M^{-1} alpha_t(Y) M X).
 
 For a unitary constructing operator the twist drops out and the boundary pair
-is the textbook thermal condition.  Numerically the Boltzmann factor is merged
-into the complex evolution phases so every factor in the trace chain stays
-bounded on the strip.
+is the textbook thermal condition.
+
+Spectral contraction.  In the H0 eigenbasis (frame F, energies lambda) put
+A~ = (CF)^H X (CF) and B~ = F^H C^{-1} Y C F.  Then
+
+    f(z) = (1/Z) sum_jk u_j(z) G_jk v_k(z),        G_jk = A~_jk B~_kj,
+    u_j(z) = e^{i(i beta - z) lambda_j},        v_k(z) = e^{iz lambda_k}.
+
+The O(N^3) work (A~, B~ and the kernel G) is done once per strip function;
+each grid point then costs O(N^2), and a whole grid is one matrix product.
+The Boltzmann factor is merged into the phase exponents before ``exp``, so
+inside the strip |u_j|, |v_k| <= 1 and nothing leaves double range.
+
+Dense oracle.  The boundary right-hand sides take an independent route:
+alpha_t(Y) is built densely from the similarity propagators C e^{+-itH0}
+C^{-1}, and both states are traces against factors formed once,
+omega(X E) = tr(K_real E)/Z and omega(M^{-1} E M X) = tr(K_shift E)/Z, each
+O(N^2) as sum(K * E^T).  A boundary residual therefore always compares two
+different evaluations of the same number.
 """
 
 from __future__ import annotations
 
-import cmath
 import warnings
 from dataclasses import dataclass, field
 from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike, NDArray
 
 from . import numerics
 from .dynamics import NonHermitianHamiltonian, h0_exponential, hamiltonian
-from .gibbs import GibbsState, Spectrum, gibbs_state, omega_trace
+from .gibbs import Spectrum, gibbs_state, omega_trace, partition_constants
 from .numerics import CMatrix
 from .riesz import RieszSystem, dual_system
 
@@ -40,22 +56,26 @@ def kms_tolerance(cond_t: float, dim: int) -> float:
 
 @dataclass(frozen=True)
 class StripFunction:
-    """Two-point function data for one observable pair and one state kind."""
+    """Spectral kernel of one observable pair and one state family.
+
+    Holds what the grid evaluation and the dense boundary oracle need, and
+    nothing else.
+    """
 
     x: CMatrix
     y: CMatrix
-    system: RieszSystem
     spectrum: Spectrum
     kind: Literal["phi", "psi"]
-    state: GibbsState = field(repr=False)
-    ham: NonHermitianHamiltonian = field(repr=False)
+    partition: float
+    # C F and F^H C^{-1}: the constructing operator taken on the H0 eigenbasis
     c_op: CMatrix = field(repr=False)
     c_inv: CMatrix = field(repr=False)
-    twist: CMatrix = field(repr=False)
-    twist_inv: CMatrix = field(repr=False)
-    # merged trace-chain factors: A = C^H X C, B = C^{-1} Y C
-    a_factor: CMatrix = field(repr=False)
-    b_factor: CMatrix = field(repr=False)
+    # G_jk = A~_jk B~_kj
+    kernel: CMatrix = field(repr=False)
+    # K_real = C e^{-beta H0} C^H X,  K_shift = M X C e^{-beta H0} C^{-1}
+    # (= M X C e^{-beta H0} C^H M^{-1}, with M^{-1} = (C^H)^{-1} C^{-1} cancelled)
+    k_real: CMatrix = field(repr=False)
+    k_shift: CMatrix = field(repr=False)
 
     @property
     def beta(self) -> float:
@@ -71,76 +91,114 @@ def strip_function(
 ) -> StripFunction:
     x = numerics.as_operator(x)
     y = numerics.as_operator(y)
-    state = gibbs_state(system, spectrum, kind)
-    ham = hamiltonian(system, spectrum)
+    z = partition_constants(system, spectrum)
     if kind == "phi":
-        c_op, c_inv = system.t_op, system.t_inv
+        c_op, c_inv, partition = system.t_op, system.t_inv, z.z_phi
     elif kind == "psi":
         c_op = numerics.dagger(system.t_inv)
         c_inv = numerics.dagger(system.t_op)
+        partition = z.z_psi
     else:
         raise ValueError(f"strip function kind must be 'phi' or 'psi', got {kind!r}")
-    twist = c_op @ numerics.dagger(c_op)
+    cf = c_op @ system.frame
+    cf_inv = numerics.dagger(system.frame) @ c_inv
+    cf_h = numerics.dagger(cf)
+    a_tilde = cf_h @ x @ cf
+    b_tilde = cf_inv @ y @ cf
+    boltz_c = cf * spectrum.weights()
     return StripFunction(
         x=x,
         y=y,
-        system=system,
         spectrum=spectrum,
         kind=kind,
-        state=state,
-        ham=ham,
-        c_op=c_op,
-        c_inv=c_inv,
-        twist=twist,
-        twist_inv=numerics.inverse(twist),
-        a_factor=numerics.dagger(c_op) @ x @ c_op,
-        b_factor=c_inv @ y @ c_op,
+        partition=partition,
+        c_op=cf,
+        c_inv=cf_inv,
+        kernel=a_tilde * b_tilde.T,
+        k_real=(boltz_c @ cf_h) @ x,
+        k_shift=(cf @ cf_h) @ x @ (boltz_c @ cf_inv),
     )
 
 
-def _warn_outside_strip(z: complex, beta: float) -> None:
-    if not (0.0 <= z.imag <= beta):
+def _warn_outside_strip(zs: ArrayLike, beta: float) -> None:
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    outside = zs[(zs.imag < 0.0) | (zs.imag > beta)]
+    if outside.size:
         warnings.warn(
-            f"z = {z} lies outside the strip 0 <= Im z <= {beta}; "
-            "values grow without the thermal damping",
+            f"{outside.size} point(s), first z = {complex(outside[0])}, lie outside "
+            f"the strip 0 <= Im z <= {beta}; values grow without the thermal damping",
             stacklevel=3,
         )
 
 
 def alpha_phi_z(ham: NonHermitianHamiltonian, z: complex, y: CMatrix) -> CMatrix:
     """Complex-time conjugation T e^{izH0} T^{-1} Y T e^{-izH0} T^{-1}."""
-    _warn_outside_strip(complex(z), ham.spectrum.beta)
+    _warn_outside_strip(z, ham.spectrum.beta)
     t, ti = ham.system.t_op, ham.system.t_inv
     return t @ h0_exponential(ham, z) @ ti @ y @ t @ h0_exponential(ham, -z) @ ti
 
 
-def alpha_psi_z(ham: NonHermitianHamiltonian, z: complex, y: CMatrix) -> CMatrix:
-    """Mirror conjugation through (T^H)^{-1} e^{izH0} T^H."""
-    _warn_outside_strip(complex(z), ham.spectrum.beta)
-    s = numerics.dagger(ham.system.t_inv)
-    si = numerics.dagger(ham.system.t_op)
-    return s @ h0_exponential(ham, z) @ si @ y @ s @ h0_exponential(ham, -z) @ si
+def strip_values(sf: StripFunction, zs: ArrayLike) -> NDArray[np.complex128]:
+    """f(z) at every point of ``zs``, as one contraction ((U @ G) * V).sum(1) / Z.
+
+    Row m of U is u(z_m) and of V is v(z_m); the cost is O(N^2) per point.
+    Warns once when any point lies outside the strip 0 <= Im z <= beta.
+    """
+    zs = np.asarray(zs, dtype=complex).reshape(-1)
+    _warn_outside_strip(zs, sf.beta)
+    lam = sf.spectrum.lambdas
+    u = np.exp(np.multiply.outer(1j * (1j * sf.beta - zs), lam))
+    v = np.exp(np.multiply.outer(1j * zs, lam))
+    return ((u @ sf.kernel) * v).sum(axis=1) / sf.partition
 
 
 def strip_f(sf: StripFunction, z: complex) -> complex:
-    """Evaluate the strip function at z = t + is, 0 <= s <= beta.
+    """Evaluate the strip function at one point z = t + is, 0 <= s <= beta."""
+    return complex(strip_values(sf, [z])[0])
 
-    Assembled as (1/Z) tr(A P(z) B P(i beta - z)) with A = C^H X C,
-    B = C^{-1} Y C and P(w) = e^{iwH0}; both phase factors have nonpositive
-    real exponents inside the strip, so the chain never leaves double range.
+
+def _evolved_y(sf: StripFunction, t: float) -> CMatrix:
+    """alpha_t(Y) = U_t Y U_{-t}, with U_{+-t} = C e^{+-itH0} C^{-1} built densely."""
+    phases = np.exp(1j * t * sf.spectrum.lambdas)
+    u_fwd = (sf.c_op * phases) @ sf.c_inv
+    u_bwd = (sf.c_op * phases.conj()) @ sf.c_inv
+    return u_fwd @ sf.y @ u_bwd
+
+
+class KmsRow(NamedTuple):
+    t: float
+    f_real: float
+    f_imag: float
+    res_real_boundary: float
+    res_shifted_boundary: float
+
+
+KMS_COLUMNS = KmsRow._fields
+
+
+def verification_rows(sf: StripFunction, t_grid: Sequence[float]) -> list[KmsRow]:
+    """f(t) and both boundary residuals at each real grid point.
+
+    The strip values on both boundaries come from one ``strip_values`` call;
+    the right-hand sides from the dense oracle, with alpha_t(Y) built once per t.
     """
-    z = complex(z)
-    _warn_outside_strip(z, sf.beta)
-    p_fwd = h0_exponential(sf.ham, z)
-    p_bwd = h0_exponential(sf.ham, 1j * sf.beta - z)
-    chain = sf.a_factor @ p_fwd @ sf.b_factor @ p_bwd
-    return complex(np.trace(chain) / sf.state.partition)
-
-
-def _alpha_t(sf: StripFunction, t: float, y: CMatrix) -> CMatrix:
-    u_fwd = sf.c_op @ h0_exponential(sf.ham, t) @ sf.c_inv
-    u_bwd = sf.c_op @ h0_exponential(sf.ham, -t) @ sf.c_inv
-    return u_fwd @ y @ u_bwd
+    ts = np.asarray(t_grid, dtype=float).reshape(-1)
+    values = strip_values(sf, np.concatenate([ts, ts + 1j * sf.beta]))
+    rows = []
+    for t, f_real, f_shift in zip(ts, values[: ts.size], values[ts.size :]):
+        evolved_t = _evolved_y(sf, float(t)).T
+        rhs_real = np.sum(sf.k_real * evolved_t) / sf.partition
+        rhs_shift = np.sum(sf.k_shift * evolved_t) / sf.partition
+        rows.append(
+            KmsRow(
+                t=float(t),
+                f_real=float(f_real.real),
+                f_imag=float(f_real.imag),
+                res_real_boundary=float(abs(f_real - rhs_real)),
+                res_shifted_boundary=float(abs(f_shift - rhs_shift)),
+            )
+        )
+    return rows
 
 
 class BoundaryResiduals(NamedTuple):
@@ -148,32 +206,26 @@ class BoundaryResiduals(NamedTuple):
     max_shifted: float
 
 
-def _boundary_residuals(sf: StripFunction, t_grid: Sequence[float]) -> BoundaryResiduals:
-    max_real = 0.0
-    max_shifted = 0.0
-    for t in t_grid:
-        evolved = _alpha_t(sf, float(t), sf.y)
-        lhs_real = strip_f(sf, float(t))
-        rhs_real = omega_trace(sf.state, sf.x @ evolved)
-        lhs_shift = strip_f(sf, float(t) + 1j * sf.beta)
-        rhs_shift = omega_trace(sf.state, sf.twist_inv @ evolved @ sf.twist @ sf.x)
-        max_real = max(max_real, abs(lhs_real - rhs_real))
-        max_shifted = max(max_shifted, abs(lhs_shift - rhs_shift))
-    return BoundaryResiduals(max_real=max_real, max_shifted=max_shifted)
+def boundary_residuals(rows: Sequence[KmsRow]) -> BoundaryResiduals:
+    """Largest residual on each boundary over a set of verification rows."""
+    return BoundaryResiduals(
+        max_real=max((r.res_real_boundary for r in rows), default=0.0),
+        max_shifted=max((r.res_shifted_boundary for r in rows), default=0.0),
+    )
 
 
 def verify_kms_like(sf: StripFunction, t_grid: Sequence[float]) -> BoundaryResiduals:
     """Boundary residuals of the phi-state identity over a real grid."""
     if sf.kind != "phi":
         raise ValueError("verify_kms_like expects a phi-kind strip function")
-    return _boundary_residuals(sf, t_grid)
+    return boundary_residuals(verification_rows(sf, t_grid))
 
 
 def verify_kms_like_psi(sf: StripFunction, t_grid: Sequence[float]) -> BoundaryResiduals:
     """Mirror check for the psi state; the twist enters with inverted sides."""
     if sf.kind != "psi":
         raise ValueError("verify_kms_like_psi expects a psi-kind strip function")
-    return _boundary_residuals(sf, t_grid)
+    return boundary_residuals(verification_rows(sf, t_grid))
 
 
 def cauchy_mean_residual(
@@ -193,8 +245,8 @@ def cauchy_mean_residual(
     if radius >= margin:
         raise ValueError("circle leaves the strip")
     angles = 2.0 * np.pi * np.arange(nodes) / nodes
-    samples = [strip_f(sf, z0 + radius * cmath.exp(1j * a)) for a in angles]
-    return abs(sum(samples) / nodes - strip_f(sf, z0))
+    values = strip_values(sf, np.append(z0 + radius * np.exp(1j * angles), z0))
+    return float(abs(values[:-1].mean() - values[-1]))
 
 
 def nonhermitian_density_residual(
@@ -213,49 +265,13 @@ def nonhermitian_density_residual(
     return abs(complex(val) - omega_trace(state, x))
 
 
-class KmsRow(NamedTuple):
-    t: float
-    f_real: float
-    f_imag: float
-    res_real_boundary: float
-    res_shifted_boundary: float
-
-
-KMS_COLUMNS = ("t", "f_real", "f_imag", "res_real_boundary", "res_shifted_boundary")
-
-
-def verification_rows(sf: StripFunction, t_grid: Sequence[float]) -> list[KmsRow]:
-    """Per-grid-point values and boundary residuals, ready for CSV emission."""
-    rows = []
-    for t in t_grid:
-        t = float(t)
-        evolved = _alpha_t(sf, t, sf.y)
-        val = strip_f(sf, t)
-        res_real = abs(val - omega_trace(sf.state, sf.x @ evolved))
-        res_shift = abs(
-            strip_f(sf, t + 1j * sf.beta)
-            - omega_trace(sf.state, sf.twist_inv @ evolved @ sf.twist @ sf.x)
-        )
-        rows.append(
-            KmsRow(
-                t=t,
-                f_real=float(val.real),
-                f_imag=float(val.imag),
-                res_real_boundary=res_real,
-                res_shifted_boundary=res_shift,
-            )
-        )
-    return rows
-
-
 def dual_strip_residual(
     system: RieszSystem, spectrum: Spectrum, x: CMatrix, y: CMatrix, t_grid: Sequence[float]
 ) -> float:
     """Agreement of the psi-state check with the phi-state check of the dual system."""
     sf_psi = strip_function(system, spectrum, x, y, kind="psi")
     sf_dual = strip_function(dual_system(system), spectrum, x, y, kind="phi")
-    res = 0.0
-    for t in t_grid:
-        for z in (float(t), float(t) + 1j * spectrum.beta):
-            res = max(res, abs(strip_f(sf_psi, z) - strip_f(sf_dual, z)))
-    return res
+    ts = np.asarray(t_grid, dtype=float).reshape(-1)
+    zs = np.concatenate([ts, ts + 1j * spectrum.beta])
+    diff = np.abs(strip_values(sf_psi, zs) - strip_values(sf_dual, zs))
+    return float(np.max(diff, initial=0.0))

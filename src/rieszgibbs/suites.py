@@ -12,8 +12,8 @@ making results independent of worker count and scheduling order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -51,6 +51,8 @@ class GroupResult:
     tolerance: float
     passed: bool
     subchecks: tuple[SubCheck, ...]
+    #: per-grid-point rows the group certified, keyed by state family (kms only)
+    rows: Mapping[str, list[km.KmsRow]] = field(default_factory=dict)
 
 
 def _group_rng(seed: int, group: str) -> np.random.Generator:
@@ -59,7 +61,9 @@ def _group_rng(seed: int, group: str) -> np.random.Generator:
     )
 
 
-def _finish(check: str, subs: list[SubCheck]) -> GroupResult:
+def _finish(
+    check: str, subs: list[SubCheck], rows: Mapping[str, list[km.KmsRow]] | None = None
+) -> GroupResult:
     binding = max(subs, key=lambda s: s.residual / s.tolerance if s.tolerance > 0 else np.inf)
     return GroupResult(
         check=check,
@@ -67,6 +71,7 @@ def _finish(check: str, subs: list[SubCheck]) -> GroupResult:
         tolerance=binding.tolerance,
         passed=all(s.passed for s in subs),
         subchecks=tuple(subs),
+        rows=rows or {},
     )
 
 
@@ -260,8 +265,10 @@ def check_kms(
     y = models.random_observable(n, rng)
     sf_phi = km.strip_function(system, spectrum, x, y, kind="phi")
     sf_psi = km.strip_function(system, spectrum, x, y, kind="psi")
-    res_phi = km.verify_kms_like(sf_phi, t_grid)
-    res_psi = km.verify_kms_like_psi(sf_psi, t_grid)
+    rows = {
+        "phi": km.verification_rows(sf_phi, t_grid),
+        "psi": km.verification_rows(sf_psi, t_grid),
+    }
 
     beta = spectrum.beta
     interior = [
@@ -276,8 +283,8 @@ def check_kms(
     r_dual = km.dual_strip_residual(system, spectrum, x, y, (0.0, 0.9, -3.0))
 
     subs = [
-        SubCheck("phi_boundaries", max(res_phi), tol),
-        SubCheck("psi_boundaries", max(res_psi), tol),
+        SubCheck("phi_boundaries", max(km.boundary_residuals(rows["phi"])), tol),
+        SubCheck("psi_boundaries", max(km.boundary_residuals(rows["psi"])), tol),
         SubCheck("analyticity", r_cauchy, 1e-9),
         SubCheck("density_identity", r_density, 1e-11),
         SubCheck("dual_consistency", r_dual, 1e-12 * max(1.0, system.cond_t**2)),
@@ -290,15 +297,14 @@ def check_kms(
     if numerics.frobenius(twist @ exp_bh - exp_bh @ twist) < 1e-12 * numerics.frobenius(exp_bh):
         state = gb.gibbs_state(system, spectrum, "phi")
         migrated = twist @ x @ numerics.inverse(twist)
+        ts = (0.0, 0.9, 4.2)
+        shifted = km.strip_values(sf_phi, [t + 1j * beta for t in ts])
         r_degenerate = max(
-            abs(
-                km.strip_f(sf_phi, t + 1j * beta)
-                - gb.omega_trace(state, km._alpha_t(sf_phi, t, y) @ migrated)
-            )
-            for t in (0.0, 0.9, 4.2)
+            abs(f - gb.omega_trace(state, dyn.alpha_phi(ham, t, y) @ migrated))
+            for t, f in zip(ts, shifted)
         )
         subs.append(SubCheck("degenerate_twist", r_degenerate, tol))
-    return _finish("kms", subs)
+    return _finish("kms", subs, rows)
 
 
 def check_modular(inst: ModelInstance, seed: int) -> GroupResult:
@@ -432,4 +438,4 @@ def apply_override(result: GroupResult, override: float) -> GroupResult:
         SubCheck(s.name, s.residual, max(s.tolerance, override))
         for s in result.subchecks
     ]
-    return _finish(result.check, subs)
+    return _finish(result.check, subs, result.rows)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from rieszgibbs import cli
+from rieszgibbs import cli, kms, models, suites
 from rieszgibbs.errors import ConfigError, UnknownCheck
 
 
@@ -115,6 +115,42 @@ class TestVerifyCommand:
         }
         for name in ("kms_phi.csv", "kms_psi.csv", "summability.csv"):
             assert (out / name).exists()
+
+    @pytest.mark.parametrize("model", [{"preset": "shift_half", "N": 8}, {"preset": "jordan2"}])
+    def test_every_csv_number_parses(self, tmp_path, model):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, {"model": model, "output_dir": str(out), "seed": 5})
+        assert cli.main(["verify", "--config", config, "--no-timestamp"]) in (0, 2)
+        paths = sorted(out.glob("*.csv"))
+        assert len(paths) == 4
+        for path in paths:
+            with open(path, newline="", encoding="utf-8") as fh:
+                for row in csv.DictReader(fh):
+                    for column, value in row.items():
+                        if column not in ("check", "pass", "converged") and value != "":
+                            float(value)
+
+    def test_kms_csv_rows_are_the_certified_ones(self, tmp_path):
+        grid = [-2.0, 0.0, 0.5, 3.0]
+        out = tmp_path / "out"
+        config = write_config(
+            tmp_path,
+            {
+                "model": {"preset": "shift_half", "N": 16},
+                "checks": ["kms"],
+                "seed": 3,
+                "t_grid": grid,
+                "output_dir": str(out),
+            },
+        )
+        assert cli.main(["verify", "--config", config, "--no-timestamp"]) == 0
+        result = suites.check_kms(models.instantiate(models.preset("shift_half", n=16, seed=3)), 3, grid)
+        certified = {s.name: s.residual for s in result.subchecks}
+        for kind in ("phi", "psi"):
+            with open(out / f"kms_{kind}.csv", newline="", encoding="utf-8") as fh:
+                written = [tuple(float(row[c]) for c in kms.KMS_COLUMNS) for row in csv.DictReader(fh)]
+            assert written == [tuple(row) for row in result.rows[kind]]
+            assert max(max(row[3:]) for row in written) == certified[f"{kind}_boundaries"]
 
     def test_check_subset(self, tmp_path):
         config = jordan2_config(tmp_path, checks=["biorthogonality", "entropy"])

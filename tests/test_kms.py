@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import instance
-from rieszgibbs import dynamics, gibbs, kms, numerics, riesz
+from rieszgibbs import dynamics, gibbs, kms, models, numerics, riesz
 from rieszgibbs.models import random_observable
 
 E01 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -68,6 +70,66 @@ class TestStripFunction:
             kms.strip_function(jordan2.system, jordan2.spectrum, np.eye(2), np.eye(2), kind="chi")
 
 
+def dense_strip_chain(system, spectrum, x, y, kind, z):
+    """Reference: tr(A e^{izH0} B e^{i(i beta - z)H0}) / Z with A = C^H X C, B = C^{-1} Y C."""
+    if kind == "phi":
+        c, c_inv = system.t_op, system.t_inv
+        partition = gibbs.partition_constants(system, spectrum).z_phi
+    else:
+        c, c_inv = system.t_inv.conj().T, system.t_op.conj().T
+        partition = gibbs.partition_constants(system, spectrum).z_psi
+    frame, lam = system.frame, spectrum.lambdas
+
+    def h0_exp(w):
+        return (frame * np.exp(1j * w * lam)) @ frame.conj().T
+
+    chain = c.conj().T @ x @ c @ h0_exp(z) @ c_inv @ y @ c @ h0_exp(1j * spectrum.beta - z)
+    return np.trace(chain) / partition
+
+
+def framed_shift_system(n, rng):
+    """shift_half's constructing operator on a random unitary frame (F != I)."""
+    frame = models.random_unitary(n, rng)
+    assert numerics.frobenius(frame - np.eye(n)) > 1.0
+    t_op = models.build_t({"rule": "shift_perturbed", "epsilon": 0.5}, n)
+    spectrum = gibbs.Spectrum(lambdas=1.0 + np.arange(n), beta=1.0)
+    return riesz.build_system(frame, t_op), spectrum
+
+
+class TestSpectralKernel:
+    @pytest.mark.parametrize("kind", ["phi", "psi"])
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_matches_dense_chain(self, rng, n, kind):
+        system, spectrum = framed_shift_system(n, rng)
+        x, y = random_observable(n, rng), random_observable(n, rng)
+        sf = kms.strip_function(system, spectrum, x, y, kind=kind)
+        beta = spectrum.beta
+        zs = [t + 1j * s for t in np.linspace(-10.0, 10.0, 7) for s in (0.0, 0.5 * beta, beta)]
+        values = kms.strip_values(sf, zs)
+        oracle = np.array([dense_strip_chain(system, spectrum, x, y, kind, z) for z in zs])
+        scale = np.max(np.abs(oracle))
+        assert np.max(np.abs(values - oracle)) <= 1e-13 * scale
+        assert abs(kms.strip_f(sf, zs[4]) - oracle[4]) <= 1e-13 * scale
+
+    def test_boundaries_on_random_frame(self, rng):
+        system, spectrum = framed_shift_system(16, rng)
+        x, y = random_observable(16, rng), random_observable(16, rng)
+        tol = kms.kms_tolerance(system.cond_t, 16)
+        for kind, verify in (("phi", kms.verify_kms_like), ("psi", kms.verify_kms_like_psi)):
+            sf = kms.strip_function(system, spectrum, x, y, kind=kind)
+            assert max(verify(sf, [-6.0, 0.0, 0.7, 3.0])) <= tol
+
+    def test_warns_once_outside_strip(self, jordan2):
+        sf = kms.strip_function(jordan2.system, jordan2.spectrum, E01, E01.T)
+        beta = jordan2.spectrum.beta
+        with pytest.warns(UserWarning, match="strip") as record:
+            kms.strip_values(sf, [0.3, -0.5j, 2.0 + 3j * beta])
+        assert len(record) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kms.strip_values(sf, [0.3, 0.5j * beta, -1.0 + 1j * beta])
+
+
 class TestBoundaryIdentities:
     def test_identity_t_textbook_reduction(self, rng):
         # untwisted form f(t + i beta) = omega(alpha_t(Y) X) holds for T = I
@@ -80,6 +142,25 @@ class TestBoundaryIdentities:
             lhs = kms.strip_f(sf, t + 1j * inst.spectrum.beta)
             rhs = gibbs.omega_trace(state, dynamics.alpha0(ham, t, y) @ x)
             assert abs(lhs - rhs) <= 1e-12
+
+    def test_untwisted_shifted_boundary_fails(self, rng):
+        # TT^H != I: the textbook pairing omega(alpha_t(Y) X) misses f(t + i beta)
+        inst = instance("shift_half", n=16)
+        twist = inst.system.t_op @ inst.system.t_op.conj().T
+        assert numerics.frobenius(twist - np.eye(16)) > 1.0
+        x, y = random_observable(16, rng), random_observable(16, rng)
+        sf = kms.strip_function(inst.system, inst.spectrum, x, y)
+        state = gibbs.gibbs_state(inst.system, inst.spectrum, "phi")
+        ham = dynamics.hamiltonian(inst.system, inst.spectrum)
+        tol = kms.kms_tolerance(inst.system.cond_t, 16)
+        ts = [0.0, 0.7, -3.0]
+        shifted = kms.strip_values(sf, [t + 1j * inst.spectrum.beta for t in ts])
+        untwisted = max(
+            abs(f - gibbs.omega_trace(state, dynamics.alpha_phi(ham, t, y) @ x))
+            for t, f in zip(ts, shifted)
+        )
+        assert untwisted > tol
+        assert kms.verify_kms_like(sf, ts).max_shifted <= tol
 
     def test_jordan2_grid(self, jordan2):
         x = np.diag([1.0, 0.0]).astype(complex)
