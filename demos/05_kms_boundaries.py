@@ -20,7 +20,6 @@ from rieszgibbs import (
     strip_f,
     strip_function,
     verify_kms_like,
-    verify_kms_like_psi,
 )
 from rieszgibbs.models import instantiate, preset, random_observable
 
@@ -36,7 +35,7 @@ print(f"  real boundary residual    = {res.max_real:.3e}")
 print(f"  shifted boundary residual = {res.max_shifted:.3e}")
 
 sf_psi = strip_function(inst.system, inst.spectrum, x, y, kind="psi")
-res_psi = verify_kms_like_psi(sf_psi, t_grid)
+res_psi = verify_kms_like(sf_psi, t_grid)
 print(f"psi state (twist inverted):")
 print(f"  real boundary residual    = {res_psi.max_real:.3e}")
 print(f"  shifted boundary residual = {res_psi.max_shifted:.3e}")

@@ -16,6 +16,7 @@ from .dynamics import (
     exp_ithdag,
     generator_residual,
     hamiltonian,
+    propagator,
     spectrum_residual,
 )
 from .entropy import (
@@ -35,7 +36,6 @@ from .errors import (
     NotHermitian,
     NotNormalized,
     NotUnitary,
-    Overflow,
     RieszGibbsError,
     Singular,
     UnknownCheck,
@@ -62,7 +62,6 @@ from .kms import (
     strip_function,
     strip_values,
     verify_kms_like,
-    verify_kms_like_psi,
 )
 from .modular import (
     ModularData,
@@ -92,10 +91,12 @@ from .numerics import (
     trace,
 )
 from .riesz import (
+    Family,
     RieszSystem,
     build_system,
     check_naturalness,
     dual_system,
+    family,
     identity_system,
     verify_biorthogonality,
 )

@@ -13,13 +13,12 @@ catalog  : list the built-in model families.
 The JSON run configuration is strictly validated: unknown keys are rejected,
 and tolerance overrides may only loosen a check group, never push it below
 its documented floor.  With ``--no-timestamp`` all outputs are byte-identical
-for a fixed config and seed, independent of ``--jobs``.
+for a fixed config and seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import datetime
 import io
@@ -240,7 +239,7 @@ def _write_csv(
     path.write_text(buf.getvalue(), encoding="utf-8", newline="")
 
 
-def cmd_verify(config: RunConfig, jobs: int = 1, timestamp: bool = True) -> int:
+def cmd_verify(config: RunConfig, timestamp: bool = True) -> int:
     """Run the selected suites; returns the process exit code."""
     inst = models.instantiate(config.model)
     logger.info(
@@ -251,15 +250,9 @@ def cmd_verify(config: RunConfig, jobs: int = 1, timestamp: bool = True) -> int:
         inst.meta["cond_t"],
     )
 
-    def run(name: str) -> suites.GroupResult:
-        logger.debug("running check group %s", name)
-        return suites.run_check(name, inst, config.seed, config.t_grid)
-
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = dict(zip(config.checks, pool.map(run, config.checks)))
-    else:
-        results = {name: run(name) for name in config.checks}
+    results = {
+        name: suites.run_check(name, inst, config.seed, config.t_grid) for name in config.checks
+    }
 
     # overrides may only loosen: reject anything below the group floor
     final: list[suites.GroupResult] = []
@@ -400,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run invariant suites from a config")
     p_verify.add_argument("--config", required=True, help="path to JSON run config")
-    p_verify.add_argument("--jobs", type=int, default=1, metavar="K")
     p_verify.add_argument("--no-timestamp", action="store_true")
 
     p_sweep = sub.add_parser("sweep", help="convergence sweep over N or beta")
@@ -423,7 +415,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "verify":
             config = load_config_file(args.config)
-            return cmd_verify(config, jobs=max(1, args.jobs), timestamp=not args.no_timestamp)
+            return cmd_verify(config, timestamp=not args.no_timestamp)
         if args.command == "sweep":
             config = load_config_file(args.config)
             return cmd_sweep(

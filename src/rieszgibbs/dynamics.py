@@ -8,9 +8,11 @@ same similarity,
     e^{itH}     = T e^{itH0} T^{-1},
     e^{itH^dag} = (T^H)^{-1} e^{itH0} T^H,
 
-never through a general dense matrix exponential, and e^{itH0} is assembled
-from the known eigenpairs (frame columns, lambda_n).  Three one-parameter
-groups act on observables:
+never through a general dense matrix exponential: each is the spectral sum
+C e^{itH0} C^{-1} = sum_n e^{it lambda_n} v_n d_n^H over the biorthogonal
+columns of its family (``riesz.family``; the frame family for H0, the phi
+family for H, the psi family for H^dag).  Three one-parameter groups act on
+observables:
 
     alpha0_t(X)   = e^{itH0} X e^{-itH0}          (a *-automorphism group)
     alphaphi_t(X) = e^{itH}  X e^{-itH}
@@ -32,7 +34,7 @@ from numpy.typing import NDArray
 from . import numerics
 from .gibbs import Spectrum, standard_hamiltonian
 from .numerics import CMatrix
-from .riesz import RieszSystem
+from .riesz import Family, RieszSystem, family
 
 Evolution = Literal["0", "phi", "psi"]
 
@@ -49,56 +51,61 @@ class NonHermitianHamiltonian:
 
 
 def hamiltonian(system: RieszSystem, spectrum: Spectrum) -> NonHermitianHamiltonian:
-    h0 = standard_hamiltonian(system, spectrum)
-    t, ti = system.t_op, system.t_inv
-    h = t @ h0 @ ti
-    h_dag = numerics.dagger(ti) @ h0 @ numerics.dagger(t)
-    return NonHermitianHamiltonian(system=system, spectrum=spectrum, h0=h0, h=h, h_dag=h_dag)
+    lam = spectrum.lambdas
+    return NonHermitianHamiltonian(
+        system=system,
+        spectrum=spectrum,
+        h0=standard_hamiltonian(system, spectrum),
+        h=family(system, "phi").similarity(lam),
+        h_dag=family(system, "psi").similarity(lam),
+    )
+
+
+def _family(ham: NonHermitianHamiltonian, which: Evolution) -> Family:
+    # the reference evolution "0" is carried by the frame family
+    return family(ham.system, "f" if which == "0" else which)
+
+
+def propagator(ham: NonHermitianHamiltonian, which: Evolution, t: complex) -> CMatrix:
+    """U_t = C e^{itH0} C^{-1} of one evolution, for real or complex t."""
+    return _family(ham, which).similarity(np.exp(1j * t * ham.spectrum.lambdas))
 
 
 def h0_exponential(ham: NonHermitianHamiltonian, z: complex) -> CMatrix:
     """e^{izH0} = F diag(e^{iz lambda}) F^H for any complex z."""
-    f = ham.system.frame
-    phases = np.exp(1j * z * ham.spectrum.lambdas)
-    return (f * phases) @ numerics.dagger(f)
+    return propagator(ham, "0", z)
 
 
 def exp_ith(ham: NonHermitianHamiltonian, t: float) -> CMatrix:
     """e^{itH} via the similarity factorization."""
-    return ham.system.t_op @ h0_exponential(ham, t) @ ham.system.t_inv
+    return propagator(ham, "phi", t)
 
 
 def exp_ithdag(ham: NonHermitianHamiltonian, t: float) -> CMatrix:
     """e^{itH^dag} via the adjoint similarity factorization."""
-    ti_h = numerics.dagger(ham.system.t_inv)
-    return ti_h @ h0_exponential(ham, t) @ numerics.dagger(ham.system.t_op)
+    return propagator(ham, "psi", t)
+
+
+def evolve(ham: NonHermitianHamiltonian, which: Evolution, t: complex, x: CMatrix) -> CMatrix:
+    """U_t X U_{-t} with the propagator of ``which``."""
+    return propagator(ham, which, t) @ x @ propagator(ham, which, -t)
 
 
 def alpha0(ham: NonHermitianHamiltonian, t: float, x: CMatrix) -> CMatrix:
-    u = h0_exponential(ham, t)
-    return u @ x @ numerics.dagger(u)
+    return evolve(ham, "0", t, x)
 
 
 def alpha_phi(ham: NonHermitianHamiltonian, t: float, x: CMatrix) -> CMatrix:
-    return exp_ith(ham, t) @ x @ exp_ith(ham, -t)
+    return evolve(ham, "phi", t, x)
 
 
 def alpha_psi(ham: NonHermitianHamiltonian, t: float, x: CMatrix) -> CMatrix:
-    return exp_ithdag(ham, t) @ x @ exp_ithdag(ham, -t)
-
-
-def evolve(ham: NonHermitianHamiltonian, which: Evolution, t: float, x: CMatrix) -> CMatrix:
-    if which == "0":
-        return alpha0(ham, t, x)
-    if which == "phi":
-        return alpha_phi(ham, t, x)
-    if which == "psi":
-        return alpha_psi(ham, t, x)
-    raise ValueError(f"unknown evolution {which!r}")
+    return evolve(ham, "psi", t, x)
 
 
 def generator_of(ham: NonHermitianHamiltonian, which: Evolution) -> CMatrix:
-    return {"0": ham.h0, "phi": ham.h, "psi": ham.h_dag}[which]
+    """C H0 C^{-1}: H0, H or H^dag."""
+    return _family(ham, which).similarity(ham.spectrum.lambdas)
 
 
 def generator_residual(

@@ -3,8 +3,8 @@
 The reference density is rho0 = e^{-beta H0}, optionally divided by Z0 so it
 becomes a state.  The deformed pair
 
-    rho     = T rho0 T^{-1},
-    log rho = T log(rho0) T^{-1},
+    rho     = T rho0 T^{-1}      = sum_n rho0_n       phi_n psi_n^H,
+    log rho = T log(rho0) T^{-1} = sum_n log(rho0_n)  phi_n psi_n^H,
 
 uses the similarity transform of the *Hermitian* logarithm: log rho is never
 obtained from a general matrix logarithm of the non-normal rho (only the
@@ -30,7 +30,7 @@ from . import numerics
 from .errors import NoConvergence, NotNormalized
 from .gibbs import Spectrum, partition_constants
 from .numerics import CMatrix
-from .riesz import RieszSystem
+from .riesz import RieszSystem, family
 
 
 @dataclass(frozen=True)
@@ -56,24 +56,21 @@ def build_density(
     shifting lambda_n by log(Z0)/beta could break their positivity.
     """
     z = partition_constants(system, spectrum)
-    f = system.frame
+    frame, phi = family(system, "f"), family(system, "phi")
     log_eigs = -spectrum.beta * spectrum.lambdas
     eigs = np.exp(log_eigs)
     if normalize:
         eigs = eigs / z.z0
         log_eigs = log_eigs - math.log(z.z0)
-    rho0 = (f * eigs) @ numerics.dagger(f)
-    log_rho0 = (f * log_eigs) @ numerics.dagger(f)
-    t, ti = system.t_op, system.t_inv
     return DensityPair(
         system=system,
         spectrum=spectrum,
         normalized=normalize,
         z0=z.z0,
-        rho0=rho0,
-        rho=t @ rho0 @ ti,
-        log_rho0=log_rho0,
-        log_rho=t @ log_rho0 @ ti,
+        rho0=frame.similarity(eigs),
+        rho=phi.similarity(eigs),
+        log_rho0=frame.similarity(log_eigs),
+        log_rho=phi.similarity(log_eigs),
     )
 
 

@@ -29,10 +29,6 @@ class DimensionMismatch(RieszGibbsError):
     """Operands have incompatible shapes."""
 
 
-class Overflow(RieszGibbsError):
-    """A Boltzmann weight would overflow double precision."""
-
-
 class NotNormalized(RieszGibbsError):
     """Entropy requested for a density pair built without normalization."""
 

@@ -17,20 +17,15 @@ evaluation routes is one of the identities this package certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 
 from . import numerics
-from .errors import BadModel, DimensionMismatch, Overflow
+from .errors import BadModel, DimensionMismatch
 from .numerics import CMatrix
-from .riesz import RieszSystem
-
-StateKind = Literal["f", "phi", "psi"]
-
-#: exponent below which exp() would overflow double precision
-_EXP_OVERFLOW = 700.0
+from .riesz import Family, FamilyKind, RieszSystem, family
 
 
 @dataclass(frozen=True)
@@ -61,11 +56,8 @@ class Spectrum:
         return int(self.lambdas.size)
 
     def weights(self) -> NDArray[np.float64]:
-        """Boltzmann weights e^{-beta lambda_n} (guarded against overflow)."""
-        exponent = -self.beta * self.lambdas
-        if np.max(exponent) > _EXP_OVERFLOW:
-            raise Overflow("Boltzmann exponent exceeds double-precision range")
-        return np.exp(exponent)
+        """Boltzmann weights e^{-beta lambda_n}, all in (0, 1) since beta lambda_n > 0."""
+        return np.exp(-self.beta * self.lambdas)
 
 
 def _check_dims(system: RieszSystem, spectrum: Spectrum) -> None:
@@ -96,16 +88,16 @@ class PartitionConstants(NamedTuple):
     z_psi: float
 
 
+def family_partition(fam: Family, spectrum: Spectrum) -> float:
+    """Z = sum_n e^{-beta lambda_n} ||C f_n||^2, the normalizer of the family's state."""
+    return float(np.sum(spectrum.weights() * np.sum(np.abs(fam.vectors) ** 2, axis=0)))
+
+
 def partition_constants(system: RieszSystem, spectrum: Spectrum) -> PartitionConstants:
-    """Z0 = sum e^{-beta lambda_n}, and the norm-weighted Zphi, Zpsi."""
+    """Z0 = sum e^{-beta lambda_n} ||f_n||^2 (= sum e^{-beta lambda_n}), Zphi and Zpsi."""
     _check_dims(system, spectrum)
-    w = spectrum.weights()
-    phi_norms = np.sum(np.abs(system.phi) ** 2, axis=0)
-    psi_norms = np.sum(np.abs(system.psi) ** 2, axis=0)
     return PartitionConstants(
-        z0=float(np.sum(w)),
-        z_phi=float(np.sum(w * phi_norms)),
-        z_psi=float(np.sum(w * psi_norms)),
+        *(family_partition(family(system, k), spectrum) for k in ("f", "phi", "psi"))
     )
 
 
@@ -113,10 +105,8 @@ def partition_constants(system: RieszSystem, spectrum: Spectrum) -> PartitionCon
 class GibbsState:
     """One of the three normalized functionals, with cached evaluation data."""
 
-    kind: StateKind
+    kind: FamilyKind
     partition: float
-    system: RieszSystem
-    spectrum: Spectrum
     # cached: family columns, Boltzmann weights and trace-form factors
     vectors: CMatrix = field(repr=False)
     weights: NDArray[np.float64] = field(repr=False)
@@ -128,35 +118,21 @@ class GibbsState:
         return omega_sum(self, x)
 
 
-def gibbs_state(system: RieszSystem, spectrum: Spectrum, kind: StateKind) -> GibbsState:
+def gibbs_state(system: RieszSystem, spectrum: Spectrum, kind: FamilyKind) -> GibbsState:
+    """The functional of one family, with trace-form factors C^H, C e^{-beta H0}
+    and C e^{-beta H0/2} (the last two formed as (C F) diag(.) F^H)."""
     _check_dims(system, spectrum)
-    z = partition_constants(system, spectrum)
-    boltz = boltzmann_operator(system, spectrum)
-    half = boltzmann_operator(system, spectrum, scale=0.5)
-    if kind == "f":
-        partition, vectors = z.z0, system.frame
-        left = np.eye(system.dim, dtype=complex)
-        c_op = np.eye(system.dim, dtype=complex)
-    elif kind == "phi":
-        partition, vectors = z.z_phi, system.phi
-        left = numerics.dagger(system.t_op)
-        c_op = system.t_op
-    elif kind == "psi":
-        partition, vectors = z.z_psi, system.psi
-        left = system.t_inv
-        c_op = numerics.dagger(system.t_inv)
-    else:
-        raise ValueError(f"unknown state kind {kind!r}")
+    fam = family(system, kind)
+    f_h = numerics.dagger(system.frame)
+    w = spectrum.weights()
     return GibbsState(
         kind=kind,
-        partition=partition,
-        system=system,
-        spectrum=spectrum,
-        vectors=vectors,
-        weights=spectrum.weights(),
-        left=left,
-        right_boltzmann=c_op @ boltz,
-        half_factor=c_op @ half,
+        partition=family_partition(fam, spectrum),
+        vectors=fam.vectors,
+        weights=w,
+        left=numerics.dagger(fam.c_op),
+        right_boltzmann=(fam.vectors * w) @ f_h,
+        half_factor=(fam.vectors * np.exp(-0.5 * spectrum.beta * spectrum.lambdas)) @ f_h,
     )
 
 
@@ -197,19 +173,11 @@ class FaithfulnessWitness(NamedTuple):
 def faithfulness_witness(state: GibbsState) -> FaithfulnessWitness:
     """Density operator rho with omega(X) = tr(X rho) and its smallest eigenvalue.
 
-    For the phi kind rho = T e^{-beta H0} T^H / Zphi; the functional is
-    faithful exactly when rho is positive definite.  The construction keeps
-    rho Hermitian by symmetrizing roundoff.
+    rho = C e^{-beta H0} C^H / Z (for the phi kind T e^{-beta H0} T^H / Zphi);
+    the functional is faithful exactly when rho is positive definite.  The
+    construction keeps rho Hermitian by symmetrizing roundoff.
     """
-    boltz = boltzmann_operator(state.system, state.spectrum)
-    if state.kind == "f":
-        rho = boltz / state.partition
-    elif state.kind == "phi":
-        t = state.system.t_op
-        rho = t @ boltz @ numerics.dagger(t) / state.partition
-    else:
-        ti = state.system.t_inv
-        rho = numerics.dagger(ti) @ boltz @ ti / state.partition
+    rho = state.right_boltzmann @ state.left / state.partition
     rho = 0.5 * (rho + numerics.dagger(rho))
     eig = numerics.herm_eig(rho)
     return FaithfulnessWitness(min_eigenvalue=float(eig.values[0]), density=rho)

@@ -4,10 +4,10 @@ For observables X, Y the two-point function
 
     f_{X,Y}(z) = (1/Z) tr(C^H X alpha_z(Y) C e^{-beta H0}),   0 <= Im z <= beta,
 
-with C the constructing operator of the family (C = T for the phi state,
-C = (T^{-1})^H for the psi state) is entire at finite dimension and matches
-the state on both strip boundaries, up to a twist by M = C C^H on the shifted
-one:
+with C the constructing operator of the family (``riesz.family``: C = T for
+the phi state, C = (T^{-1})^H for the psi state, C = I for the frame state)
+is entire at finite dimension and matches the state on both strip boundaries,
+up to a twist by M = C C^H on the shifted one:
 
     f(t)          = omega(X alpha_t(Y)),
     f(t + i beta) = omega(M^{-1} alpha_t(Y) M X).
@@ -38,16 +38,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Literal, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from . import numerics
-from .dynamics import NonHermitianHamiltonian, h0_exponential, hamiltonian
-from .gibbs import Spectrum, gibbs_state, omega_trace, partition_constants
+from .dynamics import NonHermitianHamiltonian, evolve, hamiltonian, propagator
+from .gibbs import Spectrum, family_partition, gibbs_state, omega_trace
 from .numerics import CMatrix
-from .riesz import RieszSystem, dual_system
+from .riesz import FamilyKind, RieszSystem, dual_system, family
 
 
 def kms_tolerance(cond_t: float, dim: int) -> float:
@@ -65,7 +65,6 @@ class StripFunction:
     x: CMatrix
     y: CMatrix
     spectrum: Spectrum
-    kind: Literal["phi", "psi"]
     partition: float
     # C F and F^H C^{-1}: the constructing operator taken on the H0 eigenbasis
     c_op: CMatrix = field(repr=False)
@@ -87,21 +86,13 @@ def strip_function(
     spectrum: Spectrum,
     x: CMatrix,
     y: CMatrix,
-    kind: Literal["phi", "psi"] = "phi",
+    kind: FamilyKind = "phi",
 ) -> StripFunction:
     x = numerics.as_operator(x)
     y = numerics.as_operator(y)
-    z = partition_constants(system, spectrum)
-    if kind == "phi":
-        c_op, c_inv, partition = system.t_op, system.t_inv, z.z_phi
-    elif kind == "psi":
-        c_op = numerics.dagger(system.t_inv)
-        c_inv = numerics.dagger(system.t_op)
-        partition = z.z_psi
-    else:
-        raise ValueError(f"strip function kind must be 'phi' or 'psi', got {kind!r}")
-    cf = c_op @ system.frame
-    cf_inv = numerics.dagger(system.frame) @ c_inv
+    fam = family(system, kind)
+    cf = fam.vectors
+    cf_inv = numerics.dagger(fam.duals)
     cf_h = numerics.dagger(cf)
     a_tilde = cf_h @ x @ cf
     b_tilde = cf_inv @ y @ cf
@@ -110,8 +101,7 @@ def strip_function(
         x=x,
         y=y,
         spectrum=spectrum,
-        kind=kind,
-        partition=partition,
+        partition=family_partition(fam, spectrum),
         c_op=cf,
         c_inv=cf_inv,
         kernel=a_tilde * b_tilde.T,
@@ -134,8 +124,7 @@ def _warn_outside_strip(zs: ArrayLike, beta: float) -> None:
 def alpha_phi_z(ham: NonHermitianHamiltonian, z: complex, y: CMatrix) -> CMatrix:
     """Complex-time conjugation T e^{izH0} T^{-1} Y T e^{-izH0} T^{-1}."""
     _warn_outside_strip(z, ham.spectrum.beta)
-    t, ti = ham.system.t_op, ham.system.t_inv
-    return t @ h0_exponential(ham, z) @ ti @ y @ t @ h0_exponential(ham, -z) @ ti
+    return evolve(ham, "phi", z, y)
 
 
 def strip_values(sf: StripFunction, zs: ArrayLike) -> NDArray[np.complex128]:
@@ -215,16 +204,7 @@ def boundary_residuals(rows: Sequence[KmsRow]) -> BoundaryResiduals:
 
 
 def verify_kms_like(sf: StripFunction, t_grid: Sequence[float]) -> BoundaryResiduals:
-    """Boundary residuals of the phi-state identity over a real grid."""
-    if sf.kind != "phi":
-        raise ValueError("verify_kms_like expects a phi-kind strip function")
-    return boundary_residuals(verification_rows(sf, t_grid))
-
-
-def verify_kms_like_psi(sf: StripFunction, t_grid: Sequence[float]) -> BoundaryResiduals:
-    """Mirror check for the psi state; the twist enters with inverted sides."""
-    if sf.kind != "psi":
-        raise ValueError("verify_kms_like_psi expects a psi-kind strip function")
+    """Boundary residuals of the strip function's family over a real grid."""
     return boundary_residuals(verification_rows(sf, t_grid))
 
 
@@ -259,7 +239,7 @@ def nonhermitian_density_residual(
     """
     ham = hamiltonian(system, spectrum)
     state = gibbs_state(system, spectrum, "phi")
-    exp_beta_h = system.t_op @ h0_exponential(ham, 1j * spectrum.beta) @ system.t_inv
+    exp_beta_h = propagator(ham, "phi", 1j * spectrum.beta)
     twist = system.t_op @ numerics.dagger(system.t_op)
     val = np.trace(exp_beta_h @ twist @ x) / state.partition
     return abs(complex(val) - omega_trace(state, x))

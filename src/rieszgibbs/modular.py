@@ -24,7 +24,6 @@ circulate and they differ by a rescaling of time.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -33,9 +32,9 @@ import numpy as np
 from . import numerics
 from .dynamics import NonHermitianHamiltonian, alpha_phi
 from .errors import DimensionMismatch, Singular
-from .gibbs import Spectrum, boltzmann_operator, partition_constants
+from .gibbs import Spectrum, family_partition
 from .numerics import CMatrix, HermitianEig
-from .riesz import RieszSystem
+from .riesz import RieszSystem, family
 
 #: largest dimension for which the dense Delta oracle may be materialized
 ORACLE_DIM_MAX = 8
@@ -101,20 +100,19 @@ class OmegaVectors(NamedTuple):
 def omega_vectors(system: RieszSystem, spectrum: Spectrum) -> OmegaVectors:
     """The three unit HS vectors implementing the states as (X Omega | Omega).
 
-    omega0   = e^{-beta H0/2} / sqrt(Z0)
-    omega_phi= |(T e^{-beta H0/2})^H| / sqrt(Zphi)
-    omega_psi= |((T^{-1})^H e^{-beta H0/2})^H| / sqrt(Zpsi)
-
+    Omega = |(C e^{-beta H0/2})^H| / sqrt(Z) for the frame (C = I, giving
+    e^{-beta H0/2} / sqrt(Z0)), phi (C = T) and psi (C = (T^{-1})^H) families.
     The 1/sqrt(Z) factors are exactly what gives each vector unit HS norm.
     """
-    z = partition_constants(system, spectrum)
-    half = boltzmann_operator(system, spectrum, scale=0.5)
-    omega0 = half / np.sqrt(z.z0)
-    omega_phi = numerics.abs_of_adjoint(system.t_op @ half) / np.sqrt(z.z_phi)
-    omega_psi = numerics.abs_of_adjoint(numerics.dagger(system.t_inv) @ half) / np.sqrt(
-        z.z_psi
-    )
-    return OmegaVectors(omega0=omega0, omega_phi=omega_phi, omega_psi=omega_psi)
+    half = np.exp(-0.5 * spectrum.beta * spectrum.lambdas)
+    f_h = numerics.dagger(system.frame)
+
+    def omega(kind: str) -> CMatrix:
+        fam = family(system, kind)
+        factor = (fam.vectors * half) @ f_h
+        return numerics.abs_of_adjoint(factor) / np.sqrt(family_partition(fam, spectrum))
+
+    return OmegaVectors(*(omega(k) for k in ("f", "phi", "psi")))
 
 
 def state_via_vector(x: CMatrix, omega: CMatrix) -> complex:
@@ -152,51 +150,36 @@ def modular_flow_halved(md: ModularData, t: float, x: CMatrix) -> CMatrix:
 def _two_point(md: ModularData, x: CMatrix, y: CMatrix, z: complex) -> complex:
     """g(z) = (X sigma_z(Y) Omega | Omega), merged so factors stay bounded.
 
-    Written as tr((Omega X) Omega^{2iz} Y Omega^{1-2iz}); for Im z in [-1, 0]
-    (or [0, 1], depending on the continuation side) the Omega powers carry
-    nonnegative real exponents and cannot blow up.
+    Written as tr((Omega X) Omega^{2iz} Y Omega^{1-2iz}), so only two Omega
+    powers are formed; for Im z in [-1/2, 0] both carry nonnegative real
+    exponents and cannot blow up.
     """
     chain = (md.omega @ x) @ omega_power(md, 2j * z) @ y @ omega_power(md, 1.0 - 2j * z)
     return complex(np.trace(chain))
 
 
-@functools.lru_cache(maxsize=1)
-def modular_kms_shift() -> complex:
-    """Imaginary shift at which the modular two-point function closes.
-
-    Thermal sign conventions differ across the literature; following the
-    startup-probe rule, both candidate shifts are evaluated on a known
-    diagonal instance and the one with vanishing residual is selected once
-    and cached.
-    """
-    omega = np.diag([0.8, 0.6]).astype(complex)
-    omega = omega / numerics.hs_norm(omega)
-    md = modular_data(omega)
-    x = np.array([[0.0, 1.0], [0.3, 0.0]], dtype=complex)
-    y = np.array([[0.0, 0.5], [1.0, 0.0]], dtype=complex)
-    t = 0.7
-    rhs = state_via_vector(modular_flow(md, t, y) @ x, md.omega)
-    res = {
-        shift: abs(_two_point(md, x, y, t + shift) - rhs) for shift in (1j, -1j)
-    }
-    return min(res, key=res.get)
+#: Imaginary shift at which the modular two-point function closes.  With
+#: Omega Hermitian, g(z) = tr(Omega X Omega^{2iz} Y Omega^{-2iz} Omega), and at
+#: z = t - i the powers become Omega^{2it+2} and Omega^{-2it-2}, so by
+#: cyclicity g(t - i) = tr(Omega^2 Omega^{2it} Y Omega^{-2it} X)
+#: = omega(sigma_t(Y) X).  The opposite shift +i gives
+#: tr(Omega^{-2} sigma_t(Y) Omega^4 X) instead, which differs in general.
+MODULAR_KMS_SHIFT = -1j
 
 
 def verify_modular_kms(
     md: ModularData, x: CMatrix, y: CMatrix, t_grid: Sequence[float]
 ) -> float:
-    """max_t |g(t + shift) - omega(sigma_t(Y) X)| along the modular flow.
+    """max_t |g(t + MODULAR_KMS_SHIFT) - omega(sigma_t(Y) X)| along the modular flow.
 
     The vector state satisfies the thermal boundary condition at unit inverse
-    temperature with respect to its own modular flow; the continuation side
-    comes from the cached startup probe.
+    temperature with respect to its own modular flow.
     """
-    shift = modular_kms_shift()
     res = 0.0
     for t in t_grid:
         t = float(t)
         rhs = state_via_vector(modular_flow(md, t, y) @ x, md.omega)
-        res = max(res, abs(_two_point(md, x, y, t + shift) - rhs))
+        res = max(res, abs(_two_point(md, x, y, t + MODULAR_KMS_SHIFT) - rhs))
     return res
 
 

@@ -9,12 +9,16 @@ are biorthogonal, ``(phi_n | psi_m) = delta_nm``, and everything downstream
 (Gibbs functionals, deformed evolutions, modular data) is expressed through
 them.  At finite dimension every domain condition the unbounded theory needs
 is automatic, so construction only has to police conditioning and unitarity.
+
+Each downstream object is built for one *family*, fixed by its constructing
+operator C = I, T or (T^{-1})^H (``family``); a function g of H0 carried by
+the family is the similarity C g(H0) C^{-1} = sum_n g(lambda_n) v_n d_n^H.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -108,6 +112,45 @@ def dual_system(system: RieszSystem) -> RieszSystem:
     scratch (including a fresh inversion) keeps duality checks meaningful.
     """
     return build_system(system.frame, numerics.dagger(system.t_inv))
+
+
+FamilyKind = Literal["f", "phi", "psi"]
+
+
+class Family(NamedTuple):
+    """Constructing operator C of one family, its inverse and both column sets.
+
+    ``vectors`` = C F and ``duals`` = (C^{-1})^H F are biorthogonal, so a
+    function of H0 carried by the family, C g(H0) C^{-1}, is ``similarity(g)``
+    for g given by its values g(lambda_n).
+    """
+
+    c_op: CMatrix
+    c_inv: CMatrix
+    vectors: CMatrix
+    duals: CMatrix
+
+    def similarity(self, g: np.ndarray) -> CMatrix:
+        """C F diag(g) F^H C^{-1} = (vectors * g) @ duals^H."""
+        return (self.vectors * g) @ numerics.dagger(self.duals)
+
+
+def family(system: RieszSystem, kind: FamilyKind) -> Family:
+    """The frame ("f", C = I), phi (C = T) or psi (C = (T^{-1})^H) family.
+
+    The psi family is the phi family of ``dual_system`` (C = (T^{-1})^H with
+    inverse T^H), read off the existing arrays without a fresh inversion.
+    """
+    if kind == "f":
+        eye = np.eye(system.dim, dtype=complex)
+        return Family(eye, eye, system.frame, system.frame)
+    if kind == "phi":
+        return Family(system.t_op, system.t_inv, system.phi, system.psi)
+    if kind == "psi":
+        return Family(
+            numerics.dagger(system.t_inv), numerics.dagger(system.t_op), system.psi, system.phi
+        )
+    raise ValueError(f"family kind must be 'f', 'phi' or 'psi', got {kind!r}")
 
 
 def verify_biorthogonality(system: RieszSystem) -> float:

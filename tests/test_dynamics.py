@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import instance
-from rieszgibbs import dynamics, gibbs, numerics, riesz
+from rieszgibbs import dynamics, gibbs, models, numerics, riesz
 from rieszgibbs.models import random_observable
 
 E01 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -59,6 +59,27 @@ class TestPropagators:
         s, t = 0.8, -2.1
         prod = dynamics.exp_ith(ham, s) @ dynamics.exp_ith(ham, t)
         assert numerics.frobenius(dynamics.exp_ith(ham, s + t) - prod) <= 1e-12
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_matches_dense_similarity_on_random_frame(self, rng, n):
+        frame = models.random_unitary(n, rng)
+        assert numerics.frobenius(frame - np.eye(n)) > 1.0
+        t_op = models.build_t({"rule": "shift_perturbed", "epsilon": 0.5}, n)
+        system = riesz.build_system(frame, t_op)
+        spectrum = gibbs.Spectrum(lambdas=1.0 + np.arange(n), beta=1.0)
+        ham = dynamics.hamiltonian(system, spectrum)
+        eye = np.eye(n, dtype=complex)
+        ops = {
+            "0": (eye, eye),
+            "phi": (system.t_op, system.t_inv),
+            "psi": (system.t_inv.conj().T, system.t_op.conj().T),
+        }
+        for which, (c, c_inv) in ops.items():
+            for t in (1.3, 1j * spectrum.beta):
+                h0_exp = (frame * np.exp(1j * t * spectrum.lambdas)) @ frame.conj().T
+                dense = c @ h0_exp @ c_inv
+                err = numerics.frobenius(dynamics.propagator(ham, which, t) - dense)
+                assert err <= 1e-14 * system.cond_t * numerics.frobenius(dense)
 
 
 class TestDeformedEvolutions:

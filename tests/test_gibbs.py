@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import instance
-from rieszgibbs import gibbs, numerics, riesz
+from rieszgibbs import gibbs, numerics, riesz, suites
 from rieszgibbs.errors import BadModel, DimensionMismatch
 from rieszgibbs.models import random_observable, random_unitary
 
@@ -186,6 +186,20 @@ def test_psi_state_is_dual_phi_state(rng):
     for _ in range(10):
         x = random_observable(10, rng)
         assert abs(gibbs.omega_sum(state_psi, x) - gibbs.omega_sum(dual_phi, x)) <= tol
+
+
+def test_psi_duality_fails_without_the_dual_route(monkeypatch):
+    # psi_duality compares omega_phi with the psi state of the dual system;
+    # a "dual" that is the system itself compares omega_phi with omega_psi
+    inst = instance("shift_half", n=16)
+
+    def psi_duality():
+        subs = {s.name: s for s in suites.check_gibbs(inst, 0).subchecks}
+        return subs["psi_duality"]
+
+    assert psi_duality().passed
+    monkeypatch.setattr(riesz, "dual_system", lambda system: system)
+    assert not psi_duality().passed
 
 
 def test_state_is_callable(jordan2):

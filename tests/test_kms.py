@@ -115,9 +115,9 @@ class TestSpectralKernel:
         system, spectrum = framed_shift_system(16, rng)
         x, y = random_observable(16, rng), random_observable(16, rng)
         tol = kms.kms_tolerance(system.cond_t, 16)
-        for kind, verify in (("phi", kms.verify_kms_like), ("psi", kms.verify_kms_like_psi)):
+        for kind in ("f", "phi", "psi"):
             sf = kms.strip_function(system, spectrum, x, y, kind=kind)
-            assert max(verify(sf, [-6.0, 0.0, 0.7, 3.0])) <= tol
+            assert max(kms.verify_kms_like(sf, [-6.0, 0.0, 0.7, 3.0])) <= tol
 
     def test_warns_once_outside_strip(self, jordan2):
         sf = kms.strip_function(jordan2.system, jordan2.spectrum, E01, E01.T)
@@ -175,16 +175,11 @@ class TestBoundaryIdentities:
         res = kms.verify_kms_like(sf, np.linspace(-10, 10, 20))
         assert max(res) <= 1e-10
 
-    def test_kind_enforcement(self, jordan2):
-        sf = kms.strip_function(jordan2.system, jordan2.spectrum, np.eye(2), np.eye(2))
-        with pytest.raises(ValueError):
-            kms.verify_kms_like_psi(sf, [0.0])
-
     def test_psi_mirror(self, rng):
         inst = instance("shift_half", n=12)
         x, y = random_observable(12, rng), random_observable(12, rng)
         sf = kms.strip_function(inst.system, inst.spectrum, x, y, kind="psi")
-        res = kms.verify_kms_like_psi(sf, [0.0, 0.7, 3.0, -6.0])
+        res = kms.verify_kms_like(sf, [0.0, 0.7, 3.0, -6.0])
         assert max(res) <= kms.kms_tolerance(inst.system.cond_t, 12)
 
     def test_psi_equals_dual_phi(self, rng, jordan2):

@@ -222,10 +222,16 @@ class TestModularKms:
         x, y = random_observable(8, rng), random_observable(8, rng)
         assert modular.verify_modular_kms(md, x, y, [0.0, 0.7, -1.3]) <= 1e-10
 
-    def test_shift_probe_is_cached(self):
-        shift = modular.modular_kms_shift()
-        assert shift in (1j, -1j)
-        assert modular.modular_kms_shift() is shift
+    def test_opposite_shift_fails(self, rng, monkeypatch):
+        inst = instance("shift_half", n=16)
+        md = modular.modular_data(modular.omega_vectors(inst.system, inst.spectrum).omega_phi)
+        tol = modular.modular_tolerance(md.cond_omega)
+        x, y = random_observable(16, rng), random_observable(16, rng)
+        t_grid = [0.0, 0.5, 1.7, -2.3]
+        assert modular.MODULAR_KMS_SHIFT == -1j
+        assert modular.verify_modular_kms(md, x, y, t_grid) <= tol
+        monkeypatch.setattr(modular, "MODULAR_KMS_SHIFT", 1j)
+        assert modular.verify_modular_kms(md, x, y, t_grid) > tol
 
 
 class TestCommutant:

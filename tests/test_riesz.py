@@ -53,6 +53,38 @@ def test_dual_system_swaps_families(rng):
     assert np.max(np.abs(dual.psi - sys_.phi)) <= 1e-12
 
 
+class TestFamily:
+    def framed_system(self, rng, n=12):
+        t = np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / 3.0
+        return riesz.build_system(random_unitary(n, rng), t)
+
+    def test_psi_is_dual_phi(self, rng):
+        sys_ = self.framed_system(rng)
+        psi = riesz.family(sys_, "psi")
+        dual_phi = riesz.family(riesz.dual_system(sys_), "phi")
+        np.testing.assert_array_equal(psi.c_op, dual_phi.c_op)
+        np.testing.assert_array_equal(psi.vectors, dual_phi.vectors)
+        tol = 1e-12 * sys_.cond_t
+        assert np.max(np.abs(psi.c_inv - dual_phi.c_inv)) <= tol
+        assert np.max(np.abs(psi.duals - dual_phi.duals)) <= tol
+
+    @pytest.mark.parametrize("kind", ["f", "phi", "psi"])
+    def test_columns_are_biorthogonal_images(self, rng, kind):
+        sys_ = self.framed_system(rng)
+        fam = riesz.family(sys_, kind)
+        tol = riesz.biorthogonality_tolerance(sys_.cond_t)
+        assert numerics.frobenius(fam.c_op @ fam.c_inv - np.eye(12)) <= tol
+        assert numerics.frobenius(fam.vectors - fam.c_op @ sys_.frame) <= tol
+        assert numerics.frobenius(fam.duals.conj().T @ fam.vectors - np.eye(12)) <= tol
+        g = np.linspace(0.5, 2.0, 12)
+        dense = fam.c_op @ (sys_.frame * g) @ sys_.frame.conj().T @ fam.c_inv
+        assert numerics.frobenius(fam.similarity(g) - dense) <= tol * numerics.frobenius(dense)
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="family kind"):
+            riesz.family(riesz.identity_system(2), "chi")
+
+
 def test_frame_rotation_preserves_biorthogonality(rng):
     t = np.eye(6) + 0.25 * rng.standard_normal((6, 6))
     u = random_unitary(6, rng)
