@@ -22,7 +22,7 @@ print("psi columns =\n", sys2.psi.real)
 print(f"cond(T) = {sys2.cond_t:.6f}")
 print(f"max |(phi_n|psi_m) - delta_nm| = {verify_biorthogonality(sys2):.3e}")
 
-print("\n=== naturalness: does a proposed dual family match (T^-1)* e_n? ===")
+print("\n=== naturalness: does a proposed dual family satisfy T* psi_n = e_n? ===")
 ok = check_naturalness(sys2, sys2.psi)
 print(f"own psi family: natural={ok.is_natural}, deviation={ok.max_deviation:.3e}")
 tampered = sys2.psi.copy()

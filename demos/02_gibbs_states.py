@@ -36,17 +36,17 @@ print(f"Zpsi = {z.z_psi:.6f}   (= 2 e^-1 + e^-2, since ||psi_0||^2 = 2)")
 
 x = np.diag([1.0, 0.0]).astype(complex)
 print("\nX = ground-state projector:")
-for kind in ("f", "phi", "psi"):
-    state = gibbs_state(system, spectrum, kind)
+states = {kind: gibbs_state(system, spectrum, kind) for kind in ("f", "phi", "psi")}
+for kind, state in states.items():
     s, t = omega_sum(state, x), omega_trace(state, x)
     print(
         f"  omega_{kind:3s}(X): sum = {s.real:.8f}, trace = {t.real:.8f}, "
         f"|sum - trace| = {abs(s - t):.2e}"
     )
 
-state = gibbs_state(system, spectrum, "phi")
+state = states["phi"]
 print(f"\nsandwich ordering agrees: {abs(omega_trace(state, x) - omega_trace_sandwich(state, x)):.2e}")
-print(f"ratio identity residual : {omega_ratio_residual(system, spectrum, x):.2e}")
+print(f"ratio identity residual : {omega_ratio_residual(state, states['f'], x):.2e}")
 
 witness = faithfulness_witness(state)
 print(f"\ndensity witness: tr = {np.trace(witness.density).real:.12f}, "

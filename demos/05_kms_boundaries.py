@@ -16,6 +16,7 @@ import numpy as np
 
 from rieszgibbs import (
     cauchy_mean_residual,
+    gibbs_state,
     nonhermitian_density_residual,
     strip_f,
     strip_function,
@@ -27,14 +28,15 @@ rng = np.random.default_rng(4)
 inst = instantiate(preset("shift_half", n=16))
 x, y = random_observable(16, rng), random_observable(16, rng)
 
-sf = strip_function(inst.system, inst.spectrum, x, y, kind="phi")
+state = gibbs_state(inst.system, inst.spectrum, "phi")
+sf = strip_function(state, x, y)
 t_grid = np.linspace(-10.0, 10.0, 41)
 res = verify_kms_like(sf, t_grid)
 print(f"phi state, 41-point grid on [-10, 10]:")
 print(f"  real boundary residual    = {res.max_real:.3e}")
 print(f"  shifted boundary residual = {res.max_shifted:.3e}")
 
-sf_psi = strip_function(inst.system, inst.spectrum, x, y, kind="psi")
+sf_psi = strip_function(gibbs_state(inst.system, inst.spectrum, "psi"), x, y)
 res_psi = verify_kms_like(sf_psi, t_grid)
 print(f"psi state (twist inverted):")
 print(f"  real boundary residual    = {res_psi.max_real:.3e}")
@@ -52,7 +54,7 @@ for z0 in (0.5j, 0.3 + 0.25j, -1.0 + 0.75j):
 
 print("\nstate as a trace against the non-normal density e^{-beta H} TT*/Zphi:")
 worst = max(
-    nonhermitian_density_residual(inst.system, inst.spectrum, random_observable(16, rng))
+    nonhermitian_density_residual(state, random_observable(16, rng))
     for _ in range(10)
 )
 print(f"  worst deviation from the trace form over 10 draws: {worst:.3e}")

@@ -20,7 +20,7 @@ from rieszgibbs import (
     modular_data,
     modular_flow,
     omega_trace,
-    omega_vectors,
+    omega_vector,
     state_via_vector,
     tomita_s,
     verify_modular_kms,
@@ -32,12 +32,11 @@ rng = np.random.default_rng(5)
 inst = instantiate(preset("shift_half", n=6))
 system, spectrum = inst.system, inst.spectrum
 
-vecs = omega_vectors(system, spectrum)
-md = modular_data(vecs.omega_phi)
+state = gibbs_state(system, spectrum, "phi")
+md = modular_data(omega_vector(state))
 print(f"||Omega_phi||_HS = {np.sqrt(np.trace(md.omega @ md.omega).real):.15f}")
 print(f"cond(Omega_phi)  = {md.cond_omega:.3f}")
 
-state = gibbs_state(system, spectrum, "phi")
 x = random_observable(6, rng)
 print(f"\nvector state vs trace form: |(X Omega|Omega) - omega(X)| = "
       f"{abs(state_via_vector(x, md.omega) - omega_trace(state, x)):.3e}")
@@ -60,7 +59,7 @@ print("\ncommuting case ([T, H0] = 0): the deformed evolution factors through")
 print("the modular flow conjugated by |T*|^(2it/beta):")
 osc = instantiate(preset("diag_sqrt", n=8))
 ham = hamiltonian(osc.system, osc.spectrum)
-md_osc = modular_data(omega_vectors(osc.system, osc.spectrum).omega_phi)
+md_osc = modular_data(omega_vector(gibbs_state(osc.system, osc.spectrum, "phi")))
 for t in (0.4, 1.9):
     r = commuting_flow_residual(ham, md_osc, t, random_observable(8, rng))
     print(f"  t = {t}: residual = {r:.3e}")
@@ -68,7 +67,7 @@ for t in (0.4, 1.9):
 print("\nmodular flow vs reference evolution for T = I (time rescaled by -beta):")
 iden = instantiate(preset("oscillator", n=6))
 ham_i = hamiltonian(iden.system, iden.spectrum)
-md_i = modular_data(omega_vectors(iden.system, iden.spectrum).omega_phi)
+md_i = modular_data(omega_vector(gibbs_state(iden.system, iden.spectrum, "phi")))
 x6 = random_observable(6, rng)
 from rieszgibbs import alpha0
 

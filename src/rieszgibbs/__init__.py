@@ -43,7 +43,6 @@ from .errors import (
 from .gibbs import (
     GibbsState,
     Spectrum,
-    boltzmann_operator,
     faithfulness_witness,
     gibbs_state,
     omega_ratio_residual,
@@ -51,7 +50,6 @@ from .gibbs import (
     omega_trace,
     omega_trace_sandwich,
     partition_constants,
-    standard_hamiltonian,
 )
 from .kms import (
     StripFunction,
@@ -71,7 +69,7 @@ from .modular import (
     modular_data,
     modular_flow,
     modular_flow_halved,
-    omega_vectors,
+    omega_vector,
     pi_left,
     pi_right,
     state_via_vector,

@@ -56,50 +56,10 @@ _T_KEYS = {
     "explicit": {"rule", "values"},
 }
 
-EXPLAIN_TABLE = {
-    "biorthogonality": (
-        "phi_n = T f_n and psi_n = (T^-1)* f_n form a biorthogonal pair: "
-        "(phi_n | psi_m) = delta_nm, with F unitary and cond(T) capped."
-    ),
-    "gibbs": (
-        "dual representation of the deformed thermal functional: "
-        "(1/Z_phi) sum_n e^{-beta lambda_n} (X phi_n | phi_n) "
-        "= (1/Z_phi) tr(T* X T e^{-beta H0}) "
-        "= (1/Z_phi) tr((T e^{-beta H0/2})* X (T e^{-beta H0/2})); "
-        "plus omega_phi(X) = (Z0/Z_phi) omega_f(T* X T), unitality, "
-        "positivity, and faithfulness of the density T e^{-beta H0} T*/Z_phi."
-    ),
-    "dynamics": (
-        "similarity propagators e^{itH} = T e^{itH0} T^-1 and "
-        "e^{itH*} = (T*)^-1 e^{itH0} T*: group law, (e^{itH})* = e^{-itH*}, "
-        "alpha^phi_t(X)* = alpha^psi_t(X*), generators H0 / H / H*, and the "
-        "real spectrum of H = T H0 T^-1."
-    ),
-    "entropy": (
-        "entropy equality: -sum_n psi_n* (rho log rho) phi_n = "
-        "-tr(rho0 log rho0) for rho = T rho0 T^-1, log rho = T log(rho0) T^-1, "
-        "rho0 = e^{-beta H0}/Z0."
-    ),
-    "kms": (
-        "strip function f_XY(z) = (1/Z_phi) tr(T* X alpha^phi_z(Y) T e^{-beta H0}) "
-        "matches omega_phi(X alpha^phi_t(Y)) on the real boundary and "
-        "omega_phi((TT*)^-1 alpha^phi_t(Y) TT* X) on the shifted boundary "
-        "(psi version twists with TT* inverted); interior analyticity via the "
-        "Cauchy mean value."
-    ),
-    "modular": (
-        "Hilbert-Schmidt modular data for Omega_phi = |(T e^{-beta H0/2})*|/sqrt(Z_phi): "
-        "J Delta^{1/2}(X Omega) = X* Omega, omega_phi(X) = (X Omega | Omega), "
-        "flow sigma_t(X) = Omega^{2it} X Omega^{-2it} with spectrum of Delta "
-        "{(w_j/w_k)^2}, and the left/right multiplication commutant relation."
-    ),
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     model: ModelSpec
-    checks: tuple[str, ...] = suites.CHECK_NAMES
+    checks: tuple[str, ...] = tuple(suites.CHECKS)
     tolerances: Mapping[str, float] = field(default_factory=dict)
     output_dir: str = "out"
     seed: int = 0
@@ -164,8 +124,8 @@ def load_config(data: Mapping) -> RunConfig:
     if not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise ConfigError("seed must be an integer in [0, 2^64)")
 
-    checks = tuple(data.get("checks", suites.CHECK_NAMES))
-    unknown = set(checks) - set(suites.CHECK_NAMES)
+    checks = tuple(data.get("checks", suites.CHECKS))
+    unknown = set(checks) - set(suites.CHECKS)
     if unknown:
         raise ConfigError(f"unknown check(s): {sorted(unknown)}")
     if not checks:
@@ -174,7 +134,7 @@ def load_config(data: Mapping) -> RunConfig:
     tolerances = data.get("tolerances", {})
     if not isinstance(tolerances, Mapping):
         raise ConfigError("tolerances must be an object")
-    bad = set(tolerances) - set(suites.CHECK_NAMES)
+    bad = set(tolerances) - set(suites.CHECKS)
     if bad:
         raise ConfigError(f"tolerance override(s) for unknown check(s): {sorted(bad)}")
     for key, value in tolerances.items():
@@ -251,12 +211,12 @@ def cmd_verify(config: RunConfig, timestamp: bool = True) -> int:
     )
 
     results = {
-        name: suites.run_check(name, inst, config.seed, config.t_grid) for name in config.checks
+        name: suites.CHECKS[name](inst, config.seed, config.t_grid) for name in config.checks
     }
 
     # overrides may only loosen: reject anything below the group floor
     final: list[suites.GroupResult] = []
-    for name in suites.CHECK_NAMES:
+    for name in suites.CHECKS:
         if name not in results:
             continue
         result = results[name]
@@ -355,12 +315,14 @@ def cmd_sweep(
 def cmd_explain(name: str | None, list_all: bool = False, stream=None) -> int:
     stream = stream or sys.stdout
     if list_all or name is None:
-        for key in suites.CHECK_NAMES:
-            print(f"{key}: {EXPLAIN_TABLE[key]}", file=stream)
-        return 0
-    if name not in EXPLAIN_TABLE:
-        raise UnknownCheck(f"unknown check {name!r}; known: {list(suites.CHECK_NAMES)}")
-    print(f"{name}: {EXPLAIN_TABLE[name]}", file=stream)
+        names = list(suites.CHECKS)
+    elif name in suites.CHECKS:
+        names = [name]
+    else:
+        raise UnknownCheck(f"unknown check {name!r}; known: {list(suites.CHECKS)}")
+    for key in names:
+        doc = suites.CHECKS[key].__doc__ or "unavailable, docstrings stripped by python -OO"
+        print(f"{key}: {' '.join(doc.split())}", file=stream)
     return 0
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import numerics
-from .gibbs import Spectrum, standard_hamiltonian
+from .gibbs import Spectrum, check_dims
 from .numerics import CMatrix
 from .riesz import Family, RieszSystem, family
 
@@ -51,11 +51,12 @@ class NonHermitianHamiltonian:
 
 
 def hamiltonian(system: RieszSystem, spectrum: Spectrum) -> NonHermitianHamiltonian:
+    check_dims(system, spectrum)
     lam = spectrum.lambdas
     return NonHermitianHamiltonian(
         system=system,
         spectrum=spectrum,
-        h0=standard_hamiltonian(system, spectrum),
+        h0=family(system, "f").similarity(lam),
         h=family(system, "phi").similarity(lam),
         h_dag=family(system, "psi").similarity(lam),
     )
@@ -69,11 +70,6 @@ def _family(ham: NonHermitianHamiltonian, which: Evolution) -> Family:
 def propagator(ham: NonHermitianHamiltonian, which: Evolution, t: complex) -> CMatrix:
     """U_t = C e^{itH0} C^{-1} of one evolution, for real or complex t."""
     return _family(ham, which).similarity(np.exp(1j * t * ham.spectrum.lambdas))
-
-
-def h0_exponential(ham: NonHermitianHamiltonian, z: complex) -> CMatrix:
-    """e^{izH0} = F diag(e^{iz lambda}) F^H for any complex z."""
-    return propagator(ham, "0", z)
 
 
 def exp_ith(ham: NonHermitianHamiltonian, t: float) -> CMatrix:

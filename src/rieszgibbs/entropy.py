@@ -86,12 +86,11 @@ def entropy_standard(pair: DensityPair) -> float:
     return float(val.real)
 
 
-def entropy_generalized(pair: DensityPair, system: RieszSystem | None = None) -> float:
+def entropy_generalized(pair: DensityPair) -> float:
     """S = -sum_n psi_n^H (rho log rho) phi_n, paired across the two families."""
     if not pair.normalized:
         raise NotNormalized("entropy is defined for the normalized density")
-    if system is None:
-        system = pair.system
+    system = pair.system
     m = pair.rho @ pair.log_rho
     val = -complex(np.sum(system.psi.conj() * (m @ system.phi)))
     tol = entropy_tolerance(system.cond_t)

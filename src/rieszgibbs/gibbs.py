@@ -60,26 +60,12 @@ class Spectrum:
         return np.exp(-self.beta * self.lambdas)
 
 
-def _check_dims(system: RieszSystem, spectrum: Spectrum) -> None:
+def check_dims(system: RieszSystem, spectrum: Spectrum) -> None:
+    """Raise DimensionMismatch unless the system and the spectrum share N."""
     if system.dim != spectrum.dim:
         raise DimensionMismatch(
             f"system dimension {system.dim} != spectrum length {spectrum.dim}"
         )
-
-
-def standard_hamiltonian(system: RieszSystem, spectrum: Spectrum) -> CMatrix:
-    """H0 = F diag(lambda) F^H, Hermitian positive with the frame as eigenbasis."""
-    _check_dims(system, spectrum)
-    f = system.frame
-    return (f * spectrum.lambdas) @ numerics.dagger(f)
-
-
-def boltzmann_operator(system: RieszSystem, spectrum: Spectrum, scale: float = 1.0) -> CMatrix:
-    """e^{-scale * beta * H0} assembled directly from the spectral data."""
-    _check_dims(system, spectrum)
-    w = np.exp(-scale * spectrum.beta * spectrum.lambdas)
-    f = system.frame
-    return (f * w) @ numerics.dagger(f)
 
 
 class PartitionConstants(NamedTuple):
@@ -95,7 +81,7 @@ def family_partition(fam: Family, spectrum: Spectrum) -> float:
 
 def partition_constants(system: RieszSystem, spectrum: Spectrum) -> PartitionConstants:
     """Z0 = sum e^{-beta lambda_n} ||f_n||^2 (= sum e^{-beta lambda_n}), Zphi and Zpsi."""
-    _check_dims(system, spectrum)
+    check_dims(system, spectrum)
     return PartitionConstants(
         *(family_partition(family(system, k), spectrum) for k in ("f", "phi", "psi"))
     )
@@ -103,12 +89,17 @@ def partition_constants(system: RieszSystem, spectrum: Spectrum) -> PartitionCon
 
 @dataclass(frozen=True)
 class GibbsState:
-    """One of the three normalized functionals, with cached evaluation data."""
+    """One of the three normalized functionals with its thermal data.
+
+    ``gibbs_state`` is the only place that forms this data; strip functions,
+    Omega vectors and the ratio/density residuals read it from here.
+    """
 
     kind: FamilyKind
     partition: float
-    # cached: family columns, Boltzmann weights and trace-form factors
-    vectors: CMatrix = field(repr=False)
+    family: Family = field(repr=False)
+    spectrum: Spectrum = field(repr=False)
+    # Boltzmann weights e^{-beta lambda_n} and the trace-form factors
     weights: NDArray[np.float64] = field(repr=False)
     left: CMatrix = field(repr=False)
     right_boltzmann: CMatrix = field(repr=False)
@@ -121,14 +112,15 @@ class GibbsState:
 def gibbs_state(system: RieszSystem, spectrum: Spectrum, kind: FamilyKind) -> GibbsState:
     """The functional of one family, with trace-form factors C^H, C e^{-beta H0}
     and C e^{-beta H0/2} (the last two formed as (C F) diag(.) F^H)."""
-    _check_dims(system, spectrum)
+    check_dims(system, spectrum)
     fam = family(system, kind)
     f_h = numerics.dagger(system.frame)
     w = spectrum.weights()
     return GibbsState(
         kind=kind,
         partition=family_partition(fam, spectrum),
-        vectors=fam.vectors,
+        family=fam,
+        spectrum=spectrum,
         weights=w,
         left=numerics.dagger(fam.c_op),
         right_boltzmann=(fam.vectors * w) @ f_h,
@@ -138,7 +130,7 @@ def gibbs_state(system: RieszSystem, spectrum: Spectrum, kind: FamilyKind) -> Gi
 
 def omega_sum(state: GibbsState, x: CMatrix) -> complex:
     """Weighted sum over the family: (1/Z) sum_n w_n (X v_n | v_n)."""
-    v = state.vectors
+    v = state.family.vectors
     quad = np.einsum("in,in->n", v.conj(), x @ v)
     return complex(np.sum(state.weights * quad) / state.partition)
 
@@ -154,14 +146,11 @@ def omega_trace_sandwich(state: GibbsState, x: CMatrix) -> complex:
     return complex(np.trace(numerics.dagger(k) @ x @ k) / state.partition)
 
 
-def omega_ratio_residual(system: RieszSystem, spectrum: Spectrum, x: CMatrix) -> float:
+def omega_ratio_residual(state_phi: GibbsState, state_f: GibbsState, x: CMatrix) -> float:
     """|omega_phi(X) - (Z0/Zphi) omega_f(T^H X T)|, zero in exact arithmetic."""
-    z = partition_constants(system, spectrum)
-    state_phi = gibbs_state(system, spectrum, "phi")
-    state_f = gibbs_state(system, spectrum, "f")
-    pulled = numerics.dagger(system.t_op) @ x @ system.t_op
+    pulled = state_phi.left @ x @ state_phi.family.c_op
     lhs = omega_sum(state_phi, x)
-    rhs = (z.z0 / z.z_phi) * omega_trace(state_f, pulled)
+    rhs = (state_f.partition / state_phi.partition) * omega_trace(state_f, pulled)
     return abs(lhs - rhs)
 
 

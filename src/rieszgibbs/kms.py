@@ -44,10 +44,9 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from . import numerics
-from .dynamics import NonHermitianHamiltonian, evolve, hamiltonian, propagator
-from .gibbs import Spectrum, family_partition, gibbs_state, omega_trace
+from .dynamics import NonHermitianHamiltonian, evolve
+from .gibbs import GibbsState, Spectrum, omega_trace
 from .numerics import CMatrix
-from .riesz import FamilyKind, RieszSystem, dual_system, family
 
 
 def kms_tolerance(cond_t: float, dim: int) -> float:
@@ -81,27 +80,22 @@ class StripFunction:
         return self.spectrum.beta
 
 
-def strip_function(
-    system: RieszSystem,
-    spectrum: Spectrum,
-    x: CMatrix,
-    y: CMatrix,
-    kind: FamilyKind = "phi",
-) -> StripFunction:
+def strip_function(state: GibbsState, x: CMatrix, y: CMatrix) -> StripFunction:
+    """Strip function of X, Y in the given state, over the state's family."""
     x = numerics.as_operator(x)
     y = numerics.as_operator(y)
-    fam = family(system, kind)
+    fam = state.family
     cf = fam.vectors
     cf_inv = numerics.dagger(fam.duals)
     cf_h = numerics.dagger(cf)
     a_tilde = cf_h @ x @ cf
     b_tilde = cf_inv @ y @ cf
-    boltz_c = cf * spectrum.weights()
+    boltz_c = cf * state.weights
     return StripFunction(
         x=x,
         y=y,
-        spectrum=spectrum,
-        partition=family_partition(fam, spectrum),
+        spectrum=state.spectrum,
+        partition=state.partition,
         c_op=cf,
         c_inv=cf_inv,
         kernel=a_tilde * b_tilde.T,
@@ -229,29 +223,26 @@ def cauchy_mean_residual(
     return float(abs(values[:-1].mean() - values[-1]))
 
 
-def nonhermitian_density_residual(
-    system: RieszSystem, spectrum: Spectrum, x: CMatrix
-) -> float:
-    """Deviation of omega_phi(X) from tr(e^{-beta H} T T^H X)/Zphi.
+def nonhermitian_density_residual(state: GibbsState, x: CMatrix) -> float:
+    """Deviation of omega(X) from tr(e^{-beta H} M X)/Z, with M = C C^H.
 
-    e^{-beta H} is the similarity transform T e^{-beta H0} T^{-1}; the identity
-    rewrites the state as a trace against the non-Hermitian density.
+    e^{-beta H} is the similarity transform C e^{-beta H0} C^{-1} (for the phi
+    state T e^{-beta H0} T^{-1}); the identity rewrites the state as a trace
+    against the non-Hermitian density.
     """
-    ham = hamiltonian(system, spectrum)
-    state = gibbs_state(system, spectrum, "phi")
-    exp_beta_h = propagator(ham, "phi", 1j * spectrum.beta)
-    twist = system.t_op @ numerics.dagger(system.t_op)
+    c_op = state.family.c_op
+    exp_beta_h = state.family.similarity(state.weights)
+    twist = c_op @ numerics.dagger(c_op)
     val = np.trace(exp_beta_h @ twist @ x) / state.partition
     return abs(complex(val) - omega_trace(state, x))
 
 
 def dual_strip_residual(
-    system: RieszSystem, spectrum: Spectrum, x: CMatrix, y: CMatrix, t_grid: Sequence[float]
+    sf_psi: StripFunction, sf_dual: StripFunction, t_grid: Sequence[float]
 ) -> float:
-    """Agreement of the psi-state check with the phi-state check of the dual system."""
-    sf_psi = strip_function(system, spectrum, x, y, kind="psi")
-    sf_dual = strip_function(dual_system(system), spectrum, x, y, kind="phi")
+    """Agreement of the psi-state strip function with the phi-state one of the
+    dual system, on both boundaries over a real grid."""
     ts = np.asarray(t_grid, dtype=float).reshape(-1)
-    zs = np.concatenate([ts, ts + 1j * spectrum.beta])
+    zs = np.concatenate([ts, ts + 1j * sf_psi.beta])
     diff = np.abs(strip_values(sf_psi, zs) - strip_values(sf_dual, zs))
     return float(np.max(diff, initial=0.0))

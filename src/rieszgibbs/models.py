@@ -363,7 +363,7 @@ def _sweep_row(spec: ModelSpec, axis_value: float, prev: SweepRow | None) -> Swe
     pair = entropy_mod.build_density(system, spectrum, normalize=True)
     s_rho = entropy_mod.entropy_generalized(pair)
     bio = verify_biorthogonality(system)
-    sf = kms_mod.strip_function(system, spectrum, ground, ground, kind="phi")
+    sf = kms_mod.strip_function(state, ground, ground)
     res = kms_mod.verify_kms_like(sf, SWEEP_T_GRID)
     kms_res = max(res.max_real, res.max_shifted)
 

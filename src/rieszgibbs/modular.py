@@ -25,16 +25,15 @@ circulate and they differ by a rescaling of time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import numerics
 from .dynamics import NonHermitianHamiltonian, alpha_phi
 from .errors import DimensionMismatch, Singular
-from .gibbs import Spectrum, family_partition
+from .gibbs import GibbsState
 from .numerics import CMatrix, HermitianEig
-from .riesz import RieszSystem, family
 
 #: largest dimension for which the dense Delta oracle may be materialized
 ORACLE_DIM_MAX = 8
@@ -91,28 +90,14 @@ def pi_right(a: CMatrix, v: CMatrix) -> CMatrix:
     return v @ a
 
 
-class OmegaVectors(NamedTuple):
-    omega0: CMatrix
-    omega_phi: CMatrix
-    omega_psi: CMatrix
+def omega_vector(state: GibbsState) -> CMatrix:
+    """The unit HS vector implementing the state as (X Omega | Omega).
 
-
-def omega_vectors(system: RieszSystem, spectrum: Spectrum) -> OmegaVectors:
-    """The three unit HS vectors implementing the states as (X Omega | Omega).
-
-    Omega = |(C e^{-beta H0/2})^H| / sqrt(Z) for the frame (C = I, giving
-    e^{-beta H0/2} / sqrt(Z0)), phi (C = T) and psi (C = (T^{-1})^H) families.
-    The 1/sqrt(Z) factors are exactly what gives each vector unit HS norm.
+    Omega = |(C e^{-beta H0/2})^H| / sqrt(Z): e^{-beta H0/2} / sqrt(Z0) for
+    the frame state, and C = T or (T^{-1})^H for the phi and psi states.  The
+    1/sqrt(Z) factor is exactly what gives the vector unit HS norm.
     """
-    half = np.exp(-0.5 * spectrum.beta * spectrum.lambdas)
-    f_h = numerics.dagger(system.frame)
-
-    def omega(kind: str) -> CMatrix:
-        fam = family(system, kind)
-        factor = (fam.vectors * half) @ f_h
-        return numerics.abs_of_adjoint(factor) / np.sqrt(family_partition(fam, spectrum))
-
-    return OmegaVectors(*(omega(k) for k in ("f", "phi", "psi")))
+    return numerics.abs_of_adjoint(state.half_factor) / np.sqrt(state.partition)
 
 
 def state_via_vector(x: CMatrix, omega: CMatrix) -> complex:

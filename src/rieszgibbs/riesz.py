@@ -167,10 +167,10 @@ class NaturalnessResult(NamedTuple):
 def check_naturalness(
     system: RieszSystem, given_psi: CMatrix, tol: float | None = None
 ) -> NaturalnessResult:
-    """Does a proposed dual family coincide with (T^{-1})^H f_n?
+    """Does a proposed dual family satisfy the defining identity T^H psi_n = f_n?
 
-    Compares column by column against the system's derived psi family and
-    reports the largest Euclidean deviation.
+    Measures max_n ||T^H psi_n - f_n|| by multiplication, never through the
+    inverse that built the system's own psi family.
     """
     given = np.asarray(given_psi, dtype=complex)
     if given.shape != (system.dim, system.dim):
@@ -179,5 +179,6 @@ def check_naturalness(
         )
     if tol is None:
         tol = biorthogonality_tolerance(system.cond_t)
-    dev = float(np.max(np.linalg.norm(system.psi - given, axis=0)))
+    defect = numerics.dagger(system.t_op) @ given - system.frame
+    dev = float(np.max(np.linalg.norm(defect, axis=0)))
     return NaturalnessResult(is_natural=dev <= tol, max_deviation=dev)

@@ -13,7 +13,7 @@ making each group's result independent of which other groups run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,8 +26,6 @@ from . import models
 from . import numerics
 from . import riesz
 from .models import ModelInstance
-
-CHECK_NAMES = ("biorthogonality", "gibbs", "dynamics", "entropy", "kms", "modular")
 
 #: observables drawn per randomized sub-check
 N_OBSERVABLES = 12
@@ -57,7 +55,7 @@ class GroupResult:
 
 def _group_rng(seed: int, group: str) -> np.random.Generator:
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([seed, CHECK_NAMES.index(group)]))
+        np.random.PCG64(np.random.SeedSequence([seed, list(CHECKS).index(group)]))
     )
 
 
@@ -75,7 +73,9 @@ def _finish(
     )
 
 
-def check_biorthogonality(inst: ModelInstance, seed: int) -> GroupResult:
+def check_biorthogonality(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> GroupResult:
+    """phi_n = T f_n and psi_n = (T^-1)* f_n form a biorthogonal pair:
+    (phi_n | psi_m) = delta_nm, with F unitary and cond(T) capped."""
     system = inst.system
     n = system.dim
     bio_tol = riesz.biorthogonality_tolerance(system.cond_t)
@@ -97,7 +97,13 @@ def check_biorthogonality(inst: ModelInstance, seed: int) -> GroupResult:
     return _finish("biorthogonality", subs)
 
 
-def check_gibbs(inst: ModelInstance, seed: int) -> GroupResult:
+def check_gibbs(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> GroupResult:
+    """dual representation of the deformed thermal functional:
+    (1/Z_phi) sum_n e^{-beta lambda_n} (X phi_n | phi_n)
+    = (1/Z_phi) tr(T* X T e^{-beta H0})
+    = (1/Z_phi) tr((T e^{-beta H0/2})* X (T e^{-beta H0/2}));
+    plus omega_phi(X) = (Z0/Z_phi) omega_f(T* X T), unitality,
+    positivity, and faithfulness of the density T e^{-beta H0} T*/Z_phi."""
     system, spectrum = inst.system, inst.spectrum
     rng = _group_rng(seed, "gibbs")
     n = system.dim
@@ -120,7 +126,7 @@ def check_gibbs(inst: ModelInstance, seed: int) -> GroupResult:
             )
             val = gb.omega_sum(state, numerics.dagger(x) @ x)
             r_pos = max(r_pos, max(0.0, -val.real), abs(val.imag))
-        r_ratio = max(r_ratio, gb.omega_ratio_residual(system, spectrum, x))
+        r_ratio = max(r_ratio, gb.omega_ratio_residual(states["phi"], states["f"], x))
         r_dual = max(
             r_dual, abs(gb.omega_sum(states["phi"], x) - gb.omega_sum(dual_psi, x))
         )
@@ -146,7 +152,11 @@ def check_gibbs(inst: ModelInstance, seed: int) -> GroupResult:
     return _finish("gibbs", subs)
 
 
-def check_dynamics(inst: ModelInstance, seed: int) -> GroupResult:
+def check_dynamics(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> GroupResult:
+    """similarity propagators e^{itH} = T e^{itH0} T^-1 and
+    e^{itH*} = (T*)^-1 e^{itH0} T*: group law, (e^{itH})* = e^{-itH*},
+    alpha^phi_t(X)* = alpha^psi_t(X*), generators H0 / H / H*, and the
+    real spectrum of H = T H0 T^-1."""
     system, spectrum = inst.system, inst.spectrum
     rng = _group_rng(seed, "dynamics")
     n = system.dim
@@ -221,7 +231,10 @@ def check_dynamics(inst: ModelInstance, seed: int) -> GroupResult:
     return _finish("dynamics", subs)
 
 
-def check_entropy(inst: ModelInstance, seed: int) -> GroupResult:
+def check_entropy(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> GroupResult:
+    """entropy equality: -sum_n psi_n* (rho log rho) phi_n =
+    -tr(rho0 log rho0) for rho = T rho0 T^-1, log rho = T log(rho0) T^-1,
+    rho0 = e^{-beta H0}/Z0."""
     system, spectrum = inst.system, inst.spectrum
     cond_t = system.cond_t
     pair = ent.build_density(system, spectrum, normalize=True)
@@ -255,17 +268,21 @@ def check_entropy(inst: ModelInstance, seed: int) -> GroupResult:
     return _finish("entropy", subs)
 
 
-def check_kms(
-    inst: ModelInstance, seed: int, t_grid: Sequence[float]
-) -> GroupResult:
+def check_kms(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> GroupResult:
+    """strip function f_XY(z) = (1/Z_phi) tr(T* X alpha^phi_z(Y) T e^{-beta H0})
+    matches omega_phi(X alpha^phi_t(Y)) on the real boundary and
+    omega_phi((TT*)^-1 alpha^phi_t(Y) TT* X) on the shifted boundary
+    (psi version twists with TT* inverted); interior analyticity via the
+    Cauchy mean value."""
     system, spectrum = inst.system, inst.spectrum
     rng = _group_rng(seed, "kms")
     n = system.dim
     tol = km.kms_tolerance(system.cond_t, n)
     x = models.random_observable(n, rng)
     y = models.random_observable(n, rng)
-    sf_phi = km.strip_function(system, spectrum, x, y, kind="phi")
-    sf_psi = km.strip_function(system, spectrum, x, y, kind="psi")
+    state_phi = gb.gibbs_state(system, spectrum, "phi")
+    sf_phi = km.strip_function(state_phi, x, y)
+    sf_psi = km.strip_function(gb.gibbs_state(system, spectrum, "psi"), x, y)
     rows = {
         "phi": km.verification_rows(sf_phi, t_grid),
         "psi": km.verification_rows(sf_psi, t_grid),
@@ -278,10 +295,14 @@ def check_kms(
     ]
     r_cauchy = max(km.cauchy_mean_residual(sf_phi, z0) for z0 in interior)
     r_density = max(
-        km.nonhermitian_density_residual(system, spectrum, models.random_observable(n, rng))
+        km.nonhermitian_density_residual(state_phi, models.random_observable(n, rng))
         for _ in range(4)
     )
-    r_dual = km.dual_strip_residual(system, spectrum, x, y, (0.0, 0.9, -3.0))
+    # phi state of the dual system: its columns come from a fresh inversion of (T^-1)^H
+    state_dual = gb.gibbs_state(riesz.dual_system(system), spectrum, "phi")
+    r_dual = km.dual_strip_residual(
+        sf_psi, km.strip_function(state_dual, x, y), (0.0, 0.9, -3.0)
+    )
 
     subs = [
         SubCheck("phi_boundaries", max(km.boundary_residuals(rows["phi"])), tol),
@@ -292,32 +313,35 @@ def check_kms(
     ]
     # degenerate twist: when TT^H commutes with e^{-beta H} the shifted-boundary
     # twist migrates onto the static observable, f(t+i beta) = omega(alpha_t(Y) M X M^-1)
-    ham = dyn.hamiltonian(system, spectrum)
     twist = system.t_op @ numerics.dagger(system.t_op)
-    exp_bh = dyn.propagator(ham, "phi", 1j * beta)
+    exp_bh = state_phi.family.similarity(state_phi.weights)
     if numerics.frobenius(twist @ exp_bh - exp_bh @ twist) < 1e-12 * numerics.frobenius(exp_bh):
-        state = gb.gibbs_state(system, spectrum, "phi")
+        ham = dyn.hamiltonian(system, spectrum)
         migrated = twist @ x @ numerics.inverse(twist)
         ts = (0.0, 0.9, 4.2)
         shifted = km.strip_values(sf_phi, [t + 1j * beta for t in ts])
         r_degenerate = max(
-            abs(f - gb.omega_trace(state, dyn.alpha_phi(ham, t, y) @ migrated))
+            abs(f - gb.omega_trace(state_phi, dyn.alpha_phi(ham, t, y) @ migrated))
             for t, f in zip(ts, shifted)
         )
         subs.append(SubCheck("degenerate_twist", r_degenerate, tol))
     return _finish("kms", subs, rows)
 
 
-def check_modular(inst: ModelInstance, seed: int) -> GroupResult:
+def check_modular(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> GroupResult:
+    """Hilbert-Schmidt modular data for Omega_phi = |(T e^{-beta H0/2})*|/sqrt(Z_phi):
+    J Delta^{1/2}(X Omega) = X* Omega, omega_phi(X) = (X Omega | Omega),
+    flow sigma_t(X) = Omega^{2it} X Omega^{-2it} with spectrum of Delta
+    {(w_j/w_k)^2}, and the left/right multiplication commutant relation."""
     system, spectrum = inst.system, inst.spectrum
     rng = _group_rng(seed, "modular")
     n = system.dim
-    vecs = md.omega_vectors(system, spectrum)
-    data = md.modular_data(vecs.omega_phi)
+    states = {k: gb.gibbs_state(system, spectrum, k) for k in ("f", "phi", "psi")}
+    omegas = {k: md.omega_vector(s) for k, s in states.items()}
+    data = md.modular_data(omegas["phi"])
     tol = md.modular_tolerance(data.cond_omega)
-    state = gb.gibbs_state(system, spectrum, "phi")
 
-    r_norm = max(abs(numerics.hs_norm(o) - 1.0) for o in vecs)
+    r_norm = max(abs(numerics.hs_norm(o) - 1.0) for o in omegas.values())
     r_tomita = r_state = r_j = r_flowstar = r_vecflow = 0.0
     r_pos = 0.0
     for _ in range(N_OBSERVABLES):
@@ -332,7 +356,7 @@ def check_modular(inst: ModelInstance, seed: int) -> GroupResult:
         )
         r_state = max(
             r_state,
-            abs(md.state_via_vector(x, data.omega) - gb.omega_trace(state, x)),
+            abs(md.state_via_vector(x, data.omega) - gb.omega_trace(states["phi"], x)),
         )
         r_j = max(
             r_j,
@@ -397,7 +421,7 @@ def check_modular(inst: ModelInstance, seed: int) -> GroupResult:
         expected = md.delta_spectrum_expected(data)
         rel = float(np.max(np.abs(oracle - expected) / np.maximum(1.0, expected)))
         subs.append(SubCheck("delta_spectrum_oracle", rel, 1e-10))
-    h0 = gb.standard_hamiltonian(system, spectrum)
+    h0 = states["f"].family.similarity(spectrum.lambdas)
     if numerics.frobenius(system.t_op @ h0 - h0 @ system.t_op) < 1e-13 * max(
         numerics.frobenius(h0), 1.0
     ):
@@ -410,22 +434,15 @@ def check_modular(inst: ModelInstance, seed: int) -> GroupResult:
     return _finish("modular", subs)
 
 
-def run_check(
-    name: str, inst: ModelInstance, seed: int, t_grid: Sequence[float]
-) -> GroupResult:
-    if name == "biorthogonality":
-        return check_biorthogonality(inst, seed)
-    if name == "gibbs":
-        return check_gibbs(inst, seed)
-    if name == "dynamics":
-        return check_dynamics(inst, seed)
-    if name == "entropy":
-        return check_entropy(inst, seed)
-    if name == "kms":
-        return check_kms(inst, seed, t_grid)
-    if name == "modular":
-        return check_modular(inst, seed)
-    raise ValueError(f"unknown check {name!r}")
+#: every check group by name, in report order; each docstring is what ``explain`` prints
+CHECKS: dict[str, Callable[[ModelInstance, int, Sequence[float]], GroupResult]] = {
+    "biorthogonality": check_biorthogonality,
+    "gibbs": check_gibbs,
+    "dynamics": check_dynamics,
+    "entropy": check_entropy,
+    "kms": check_kms,
+    "modular": check_modular,
+}
 
 
 def group_floor(result: GroupResult) -> float:

@@ -62,7 +62,7 @@ def test_criterion_02_dual_representation(rng):
             for state in states:
                 dev = abs(gibbs.omega_sum(state, x) - gibbs.omega_trace(state, x))
                 worst = max(worst, dev / tol)
-            ratio = gibbs.omega_ratio_residual(inst.system, inst.spectrum, x)
+            ratio = gibbs.omega_ratio_residual(states[1], states[0], x)
             worst = max(worst, ratio / tol)
     report(2, "dual representation", worst <= 1.0, f"worst residual/tolerance = {worst:.3e}")
 
@@ -161,16 +161,16 @@ def test_criterion_07_kms_boundaries(rng):
         dim = inst.system.dim
         tol = 1e-10 * inst.system.cond_t**2 * dim
         x, y = random_observable(dim, rng), random_observable(dim, rng)
-        sf = kms.strip_function(inst.system, inst.spectrum, x, y, kind="phi")
+        sf = kms.strip_function(gibbs.gibbs_state(inst.system, inst.spectrum, "phi"), x, y)
         worst = max(worst, max(kms.verify_kms_like(sf, t_grid)) / tol)
-        sf_psi = kms.strip_function(inst.system, inst.spectrum, x, y, kind="psi")
+        sf_psi = kms.strip_function(gibbs.gibbs_state(inst.system, inst.spectrum, "psi"), x, y)
         worst = max(worst, max(kms.verify_kms_like(sf_psi, t_grid)) / tol)
 
     # unitary-T reduction: the twist drops and the textbook identity holds to 1e-12
     osc = instance("oscillator", n=16)
     x, y = random_observable(16, rng), random_observable(16, rng)
-    sf = kms.strip_function(osc.system, osc.spectrum, x, y)
     state = gibbs.gibbs_state(osc.system, osc.spectrum, "phi")
+    sf = kms.strip_function(state, x, y)
     ham = dynamics.hamiltonian(osc.system, osc.spectrum)
     textbook = max(
         abs(
@@ -197,11 +197,10 @@ def test_criterion_08_modular(rng):
     for name, n in [("jordan2", None), ("oscillator", 8), ("shift_half", 8)]:
         inst = instance(name, n=n)
         dim = inst.system.dim
-        vecs = modular.omega_vectors(inst.system, inst.spectrum)
-        md = modular.modular_data(vecs.omega_phi)
         state = gibbs.gibbs_state(inst.system, inst.spectrum, "phi")
+        md = modular.modular_data(modular.omega_vector(state))
         tol_s = 1e-10 * md.cond_omega**2
-        worst_norm = max(worst_norm, abs(numerics.hs_norm(vecs.omega_phi) - 1.0))
+        worst_norm = max(worst_norm, abs(numerics.hs_norm(md.omega) - 1.0))
         for _ in range(50):
             x = random_observable(dim, rng)
             dev = numerics.hs_norm(
@@ -215,7 +214,9 @@ def test_criterion_08_modular(rng):
     worst_oracle = 0.0
     for name, n in [("jordan2", None), ("oscillator", 4), ("diag_sqrt", 6)]:
         inst = instance(name, n=n)
-        md = modular.modular_data(modular.omega_vectors(inst.system, inst.spectrum).omega_phi)
+        md = modular.modular_data(
+            modular.omega_vector(gibbs.gibbs_state(inst.system, inst.spectrum, "phi"))
+        )
         got = np.sort(np.linalg.eigvalsh(modular.delta_matrix(md)))
         expected = modular.delta_spectrum_expected(md)
         worst_oracle = max(

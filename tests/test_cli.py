@@ -1,10 +1,11 @@
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from rieszgibbs import cli, kms, models, suites
+from rieszgibbs import cli, gibbs, kms, models, suites
 from rieszgibbs.errors import ConfigError, UnknownCheck
 
 
@@ -151,6 +152,33 @@ class TestVerifyCommand:
                 written = [tuple(float(row[c]) for c in kms.KMS_COLUMNS) for row in csv.DictReader(fh)]
             assert written == [tuple(row) for row in result.rows[kind]]
             assert max(max(row[3:]) for row in written) == certified[f"{kind}_boundaries"]
+
+    def test_no_group_builds_a_state_twice(self, tmp_path, monkeypatch):
+        # each check group forms a family's Gibbs state once and hands it on
+        original = gibbs.gibbs_state
+        builds = []
+
+        def counting(system, spectrum, kind):
+            frame = sys._getframe(1)
+            while not (
+                frame.f_globals["__name__"] == suites.__name__
+                and frame.f_code.co_name.startswith("check_")
+            ):
+                frame = frame.f_back
+            builds.append((frame.f_code.co_name, system, kind))
+            return original(system, spectrum, kind)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("rieszgibbs") and getattr(module, "gibbs_state", None) is original:
+                monkeypatch.setattr(module, "gibbs_state", counting)
+        out = tmp_path / "out"
+        config = write_config(
+            tmp_path, {"model": {"preset": "shift_half", "N": 16}, "output_dir": str(out)}
+        )
+        assert cli.main(["verify", "--config", config, "--no-timestamp"]) == 0
+        assert {group for group, _, _ in builds} == {"check_gibbs", "check_kms", "check_modular"}
+        keys = [(group, id(system), kind) for group, system, kind in builds]
+        assert len(keys) == len(set(keys))
 
     def test_check_subset(self, tmp_path):
         config = jordan2_config(tmp_path, checks=["biorthogonality", "entropy"])

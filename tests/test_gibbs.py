@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import instance
-from rieszgibbs import gibbs, numerics, riesz, suites
+from rieszgibbs import dynamics, gibbs, numerics, riesz, suites
 from rieszgibbs.errors import BadModel, DimensionMismatch
 from rieszgibbs.models import random_observable, random_unitary
 
@@ -28,18 +28,20 @@ class TestSpectrum:
 
 
 class TestStandardHamiltonian:
+    """H0 = F diag(lambda) F^H is the frame family's similarity of lambda."""
+
     def test_identity_frame_is_diagonal(self):
         sys_ = riesz.identity_system(2)
         spec = gibbs.Spectrum(lambdas=np.array([1.0, 2.0]), beta=1.0)
         np.testing.assert_array_equal(
-            gibbs.standard_hamiltonian(sys_, spec), np.diag([1.0, 2.0])
+            riesz.family(sys_, "f").similarity(spec.lambdas), np.diag([1.0, 2.0])
         )
 
     def test_rotated_frame_keeps_spectrum(self):
         hada = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         sys_ = riesz.build_system(hada, np.eye(2))
         spec = gibbs.Spectrum(lambdas=np.array([1.0, 2.0]), beta=1.0)
-        h0 = gibbs.standard_hamiltonian(sys_, spec)
+        h0 = riesz.family(sys_, "f").similarity(spec.lambdas)
         assert numerics.hermiticity_defect(h0) < 1e-15
         np.testing.assert_allclose(numerics.herm_eig(h0).values, [1.0, 2.0], atol=1e-14)
 
@@ -47,15 +49,16 @@ class TestStandardHamiltonian:
         n = 64
         sys_ = riesz.build_system(random_unitary(n, rng), np.eye(n))
         spec = gibbs.Spectrum(lambdas=np.arange(1.0, n + 1.0), beta=1.0)
-        h0 = gibbs.standard_hamiltonian(sys_, spec)
+        h0 = riesz.family(sys_, "f").similarity(spec.lambdas)
         residual = h0 @ sys_.frame - sys_.frame * spec.lambdas
         assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-12 * spec.lambdas[-1]
 
     def test_dimension_mismatch(self):
+        spec = gibbs.Spectrum(lambdas=np.array([1.0]), beta=1.0)
         with pytest.raises(DimensionMismatch):
-            gibbs.standard_hamiltonian(
-                riesz.identity_system(3), gibbs.Spectrum(lambdas=np.array([1.0]), beta=1.0)
-            )
+            gibbs.gibbs_state(riesz.identity_system(3), spec, "f")
+        with pytest.raises(DimensionMismatch):
+            dynamics.hamiltonian(riesz.identity_system(3), spec)
 
 
 class TestPartitionConstants:
@@ -95,7 +98,7 @@ class TestOmegaEvaluations:
         sys_ = riesz.identity_system(4)
         spec = gibbs.Spectrum(lambdas=np.arange(1.0, 5.0), beta=0.7)
         state = gibbs.gibbs_state(sys_, spec, "phi")
-        boltz = gibbs.boltzmann_operator(sys_, spec)
+        boltz = riesz.family(sys_, "f").similarity(spec.weights())
         for _ in range(5):
             x = random_observable(4, rng)
             direct = np.trace(x @ boltz) / np.sum(spec.weights())
@@ -129,17 +132,20 @@ class TestRatioIdentity:
     def test_identity_t_is_exact(self, rng):
         sys_ = riesz.identity_system(3)
         spec = gibbs.Spectrum(lambdas=np.arange(1.0, 4.0), beta=1.0)
-        assert gibbs.omega_ratio_residual(sys_, spec, random_observable(3, rng)) <= 1e-15
+        phi, f = (gibbs.gibbs_state(sys_, spec, k) for k in ("phi", "f"))
+        assert gibbs.omega_ratio_residual(phi, f, random_observable(3, rng)) <= 1e-15
 
     def test_jordan2(self, jordan2):
         x = np.diag([1.0, 0.0]).astype(complex)
-        assert gibbs.omega_ratio_residual(jordan2.system, jordan2.spectrum, x) <= 1e-13
+        phi, f = (gibbs.gibbs_state(jordan2.system, jordan2.spectrum, k) for k in ("phi", "f"))
+        assert gibbs.omega_ratio_residual(phi, f, x) <= 1e-13
 
     def test_randomized(self, rng):
         inst = instance("diag_sqrt", n=32)
+        phi, f = (gibbs.gibbs_state(inst.system, inst.spectrum, k) for k in ("phi", "f"))
         for _ in range(10):
             x = random_observable(32, rng)
-            assert gibbs.omega_ratio_residual(inst.system, inst.spectrum, x) <= 1e-11
+            assert gibbs.omega_ratio_residual(phi, f, x) <= 1e-11
 
 
 class TestFaithfulness:
@@ -194,7 +200,7 @@ def test_psi_duality_fails_without_the_dual_route(monkeypatch):
     inst = instance("shift_half", n=16)
 
     def psi_duality():
-        subs = {s.name: s for s in suites.check_gibbs(inst, 0).subchecks}
+        subs = {s.name: s for s in suites.check_gibbs(inst, 0, ()).subchecks}
         return subs["psi_duality"]
 
     assert psi_duality().passed

@@ -10,6 +10,10 @@ from rieszgibbs.models import random_observable
 E01 = np.array([[0, 1], [0, 0]], dtype=complex)
 
 
+def strip(system, spectrum, x, y, kind="phi"):
+    return kms.strip_function(gibbs.gibbs_state(system, spectrum, kind), x, y)
+
+
 def two_level():
     sys_ = riesz.identity_system(2)
     spec = gibbs.Spectrum(lambdas=np.array([1.0, 2.0]), beta=1.0)
@@ -50,16 +54,16 @@ class TestComplexTimeConjugation:
 class TestStripFunction:
     def test_z_zero_is_product_state(self, rng, jordan2):
         x, y = random_observable(2, rng), random_observable(2, rng)
-        sf = kms.strip_function(jordan2.system, jordan2.spectrum, x, y)
         state = gibbs.gibbs_state(jordan2.system, jordan2.spectrum, "phi")
+        sf = kms.strip_function(state, x, y)
         assert kms.strip_f(sf, 0.0) == pytest.approx(gibbs.omega_sum(state, x @ y), abs=1e-14)
 
     def test_identity_t_reduces_to_reference_two_point(self, rng):
         sys_, spec = two_level()
         x, y = random_observable(2, rng), random_observable(2, rng)
-        sf = kms.strip_function(sys_, spec, x, y)
+        sf = strip(sys_, spec, x, y)
         ham = dynamics.hamiltonian(sys_, spec)
-        boltz = gibbs.boltzmann_operator(sys_, spec)
+        boltz = riesz.family(sys_, "f").similarity(spec.weights())
         z0 = np.sum(spec.weights())
         for t in (0.0, 0.8, -2.5):
             direct = np.trace(x @ dynamics.alpha0(ham, t, y) @ boltz) / z0
@@ -67,18 +71,18 @@ class TestStripFunction:
 
     def test_rejects_unknown_kind(self, jordan2):
         with pytest.raises(ValueError):
-            kms.strip_function(jordan2.system, jordan2.spectrum, np.eye(2), np.eye(2), kind="chi")
+            strip(jordan2.system, jordan2.spectrum, np.eye(2), np.eye(2), kind="chi")
 
 
 def dense_strip_chain(system, spectrum, x, y, kind, z):
     """Reference: tr(A e^{izH0} B e^{i(i beta - z)H0}) / Z with A = C^H X C, B = C^{-1} Y C."""
     if kind == "phi":
         c, c_inv = system.t_op, system.t_inv
-        partition = gibbs.partition_constants(system, spectrum).z_phi
     else:
         c, c_inv = system.t_inv.conj().T, system.t_op.conj().T
-        partition = gibbs.partition_constants(system, spectrum).z_psi
     frame, lam = system.frame, spectrum.lambdas
+    # Z = sum_n e^{-beta lambda_n} ||C f_n||^2 over the family columns C F
+    partition = np.sum(spectrum.weights() * np.linalg.norm(c @ frame, axis=0) ** 2)
 
     def h0_exp(w):
         return (frame * np.exp(1j * w * lam)) @ frame.conj().T
@@ -102,7 +106,7 @@ class TestSpectralKernel:
     def test_matches_dense_chain(self, rng, n, kind):
         system, spectrum = framed_shift_system(n, rng)
         x, y = random_observable(n, rng), random_observable(n, rng)
-        sf = kms.strip_function(system, spectrum, x, y, kind=kind)
+        sf = strip(system, spectrum, x, y, kind=kind)
         beta = spectrum.beta
         zs = [t + 1j * s for t in np.linspace(-10.0, 10.0, 7) for s in (0.0, 0.5 * beta, beta)]
         values = kms.strip_values(sf, zs)
@@ -116,11 +120,11 @@ class TestSpectralKernel:
         x, y = random_observable(16, rng), random_observable(16, rng)
         tol = kms.kms_tolerance(system.cond_t, 16)
         for kind in ("f", "phi", "psi"):
-            sf = kms.strip_function(system, spectrum, x, y, kind=kind)
+            sf = strip(system, spectrum, x, y, kind=kind)
             assert max(kms.verify_kms_like(sf, [-6.0, 0.0, 0.7, 3.0])) <= tol
 
     def test_warns_once_outside_strip(self, jordan2):
-        sf = kms.strip_function(jordan2.system, jordan2.spectrum, E01, E01.T)
+        sf = strip(jordan2.system, jordan2.spectrum, E01, E01.T)
         beta = jordan2.spectrum.beta
         with pytest.warns(UserWarning, match="strip") as record:
             kms.strip_values(sf, [0.3, -0.5j, 2.0 + 3j * beta])
@@ -135,8 +139,8 @@ class TestBoundaryIdentities:
         # untwisted form f(t + i beta) = omega(alpha_t(Y) X) holds for T = I
         inst = instance("oscillator", n=16)
         x, y = random_observable(16, rng), random_observable(16, rng)
-        sf = kms.strip_function(inst.system, inst.spectrum, x, y)
         state = gibbs.gibbs_state(inst.system, inst.spectrum, "phi")
+        sf = kms.strip_function(state, x, y)
         ham = dynamics.hamiltonian(inst.system, inst.spectrum)
         for t in (0.0, 0.5, 1.0, -4.0):
             lhs = kms.strip_f(sf, t + 1j * inst.spectrum.beta)
@@ -149,8 +153,8 @@ class TestBoundaryIdentities:
         twist = inst.system.t_op @ inst.system.t_op.conj().T
         assert numerics.frobenius(twist - np.eye(16)) > 1.0
         x, y = random_observable(16, rng), random_observable(16, rng)
-        sf = kms.strip_function(inst.system, inst.spectrum, x, y)
         state = gibbs.gibbs_state(inst.system, inst.spectrum, "phi")
+        sf = kms.strip_function(state, x, y)
         ham = dynamics.hamiltonian(inst.system, inst.spectrum)
         tol = kms.kms_tolerance(inst.system.cond_t, 16)
         ts = [0.0, 0.7, -3.0]
@@ -164,27 +168,30 @@ class TestBoundaryIdentities:
 
     def test_jordan2_grid(self, jordan2):
         x = np.diag([1.0, 0.0]).astype(complex)
-        sf = kms.strip_function(jordan2.system, jordan2.spectrum, x, x)
+        sf = strip(jordan2.system, jordan2.spectrum, x, x)
         res = kms.verify_kms_like(sf, [0.0, 0.5, 1.0])
         assert res.max_real <= 1e-12 and res.max_shifted <= 1e-12
 
     def test_randomized_grid(self, rng):
         inst = instance("exp_gen", n=16)
         x, y = random_observable(16, rng), random_observable(16, rng)
-        sf = kms.strip_function(inst.system, inst.spectrum, x, y)
+        sf = strip(inst.system, inst.spectrum, x, y)
         res = kms.verify_kms_like(sf, np.linspace(-10, 10, 20))
         assert max(res) <= 1e-10
 
     def test_psi_mirror(self, rng):
         inst = instance("shift_half", n=12)
         x, y = random_observable(12, rng), random_observable(12, rng)
-        sf = kms.strip_function(inst.system, inst.spectrum, x, y, kind="psi")
+        sf = strip(inst.system, inst.spectrum, x, y, kind="psi")
         res = kms.verify_kms_like(sf, [0.0, 0.7, 3.0, -6.0])
         assert max(res) <= kms.kms_tolerance(inst.system.cond_t, 12)
 
     def test_psi_equals_dual_phi(self, rng, jordan2):
         x, y = random_observable(2, rng), random_observable(2, rng)
-        res = kms.dual_strip_residual(jordan2.system, jordan2.spectrum, x, y, [0.0, 0.5, 1.0])
+        sys_, spec = jordan2.system, jordan2.spectrum
+        sf_psi = strip(sys_, spec, x, y, kind="psi")
+        sf_dual = strip(riesz.dual_system(sys_), spec, x, y)
+        res = kms.dual_strip_residual(sf_psi, sf_dual, [0.0, 0.5, 1.0])
         assert res <= 1e-12
 
     def test_degenerate_twist_for_diagonal_t(self, rng):
@@ -192,8 +199,8 @@ class TestBoundaryIdentities:
         # observable, and drops entirely once X commutes with TT^H as well
         inst = instance("diag_sqrt", n=8)
         x, y = random_observable(8, rng), random_observable(8, rng)
-        sf = kms.strip_function(inst.system, inst.spectrum, x, y)
         state = gibbs.gibbs_state(inst.system, inst.spectrum, "phi")
+        sf = kms.strip_function(state, x, y)
         ham = dynamics.hamiltonian(inst.system, inst.spectrum)
         twist = inst.system.t_op @ inst.system.t_op.conj().T
         migrated = twist @ x @ np.linalg.inv(twist)
@@ -203,7 +210,7 @@ class TestBoundaryIdentities:
             rhs = gibbs.omega_trace(state, dynamics.alpha_phi(ham, t, y) @ migrated)
             assert abs(lhs - rhs) <= tol
         x_diag = np.diag(rng.standard_normal(8)).astype(complex)
-        sf_diag = kms.strip_function(inst.system, inst.spectrum, x_diag, y)
+        sf_diag = kms.strip_function(state, x_diag, y)
         for t in (0.0, 1.3):
             lhs = kms.strip_f(sf_diag, t + 1j * inst.spectrum.beta)
             rhs = gibbs.omega_trace(state, dynamics.alpha_phi(ham, t, y) @ x_diag)
@@ -214,12 +221,12 @@ class TestAnalyticity:
     def test_cauchy_mean_value(self, rng):
         inst = instance("shift_half", n=8)
         x, y = random_observable(8, rng), random_observable(8, rng)
-        sf = kms.strip_function(inst.system, inst.spectrum, x, y)
+        sf = strip(inst.system, inst.spectrum, x, y)
         for z0 in (0.5j, 0.3 + 0.25j, -1.0 + 0.75j):
             assert kms.cauchy_mean_residual(sf, z0) <= 1e-10
 
     def test_interior_point_required(self, jordan2):
-        sf = kms.strip_function(jordan2.system, jordan2.spectrum, np.eye(2), np.eye(2))
+        sf = strip(jordan2.system, jordan2.spectrum, np.eye(2), np.eye(2))
         with pytest.raises(ValueError):
             kms.cauchy_mean_residual(sf, 1.0)  # on the real boundary
 
@@ -229,15 +236,17 @@ class TestDensityIdentity:
         for name, n in (("jordan2", None), ("shift_half", 16), ("exp_gen", 12)):
             inst = instance(name, n=n)
             dim = inst.system.dim
-            for _ in range(5):
-                x = random_observable(dim, rng)
-                assert kms.nonhermitian_density_residual(inst.system, inst.spectrum, x) <= 1e-11
+            for kind in ("f", "phi", "psi"):
+                state = gibbs.gibbs_state(inst.system, inst.spectrum, kind)
+                for _ in range(5):
+                    x = random_observable(dim, rng)
+                    assert kms.nonhermitian_density_residual(state, x) <= 1e-11
 
 
 def test_trace_cyclicity_along_regrouping(rng, jordan2):
     # every regrouping step of the shifted-boundary derivation is a cyclic trace move
     sys_, spec = jordan2.system, jordan2.spectrum
-    boltz = gibbs.boltzmann_operator(sys_, spec)
+    boltz = riesz.family(sys_, "f").similarity(spec.weights())
     x = random_observable(2, rng)
     t_h = sys_.t_op.conj().T
     factors = [
@@ -254,7 +263,7 @@ def test_trace_cyclicity_along_regrouping(rng, jordan2):
 
 def test_verification_rows_structure(jordan2):
     x = np.diag([1.0, 0.0]).astype(complex)
-    sf = kms.strip_function(jordan2.system, jordan2.spectrum, x, x)
+    sf = strip(jordan2.system, jordan2.spectrum, x, x)
     rows = kms.verification_rows(sf, [0.0, 1.0])
     assert len(rows) == 2 and rows[0].t == 0.0
     assert all(r.res_real_boundary <= 1e-12 for r in rows)

@@ -9,10 +9,14 @@ from rieszgibbs.models import random_observable
 E01 = np.array([[0, 1], [0, 0]], dtype=complex)
 
 
+def omega_of(system, spectrum, kind="phi"):
+    return modular.omega_vector(gibbs.gibbs_state(system, spectrum, kind))
+
+
 def two_level_data():
     sys_ = riesz.identity_system(2)
     spec = gibbs.Spectrum(lambdas=np.array([1.0, 2.0]), beta=1.0)
-    return sys_, spec, modular.modular_data(modular.omega_vectors(sys_, spec).omega_phi)
+    return sys_, spec, modular.modular_data(omega_of(sys_, spec))
 
 
 class TestRepresentations:
@@ -44,22 +48,21 @@ class TestRepresentations:
 class TestOmegaVectors:
     def test_identity_t_closed_form(self):
         sys_, spec, _ = two_level_data()
-        vecs = modular.omega_vectors(sys_, spec)
         z0 = np.exp(-1) + np.exp(-2)
         expected = np.diag([np.exp(-0.5), np.exp(-1.0)]) / np.sqrt(z0)
-        np.testing.assert_allclose(vecs.omega0, expected, atol=1e-14)
-        np.testing.assert_allclose(vecs.omega_phi, expected, atol=1e-14)
+        np.testing.assert_allclose(omega_of(sys_, spec, "f"), expected, atol=1e-14)
+        np.testing.assert_allclose(omega_of(sys_, spec, "phi"), expected, atol=1e-14)
 
     def test_unit_hs_norm(self, jordan2):
-        vecs = modular.omega_vectors(jordan2.system, jordan2.spectrum)
-        for omega in vecs:
+        for kind in ("f", "phi", "psi"):
+            omega = omega_of(jordan2.system, jordan2.spectrum, kind)
             assert abs(numerics.hs_norm(omega) - 1.0) <= 1e-12
 
     def test_psi_vector_is_dual_phi_vector(self):
         inst = instance("exp_gen", n=8)
-        vecs = modular.omega_vectors(inst.system, inst.spectrum)
-        dual = modular.omega_vectors(riesz.dual_system(inst.system), inst.spectrum)
-        assert numerics.frobenius(vecs.omega_psi - dual.omega_phi) <= 1e-12
+        omega_psi = omega_of(inst.system, inst.spectrum, "psi")
+        dual_phi = omega_of(riesz.dual_system(inst.system), inst.spectrum, "phi")
+        assert numerics.frobenius(omega_psi - dual_phi) <= 1e-12
 
     def test_rejects_singular_vector(self):
         with pytest.raises(Singular):
@@ -68,11 +71,11 @@ class TestOmegaVectors:
 
 class TestStateViaVector:
     def test_unital(self, jordan2):
-        omega = modular.omega_vectors(jordan2.system, jordan2.spectrum).omega_phi
+        omega = omega_of(jordan2.system, jordan2.spectrum)
         assert modular.state_via_vector(np.eye(2), omega) == pytest.approx(1.0, abs=1e-13)
 
     def test_jordan2_value(self, jordan2):
-        omega = modular.omega_vectors(jordan2.system, jordan2.spectrum).omega_phi
+        omega = omega_of(jordan2.system, jordan2.spectrum)
         x = np.diag([1.0, 0.0]).astype(complex)
         assert modular.state_via_vector(x, omega).real == pytest.approx(
             0.7880584423829146, abs=1e-13
@@ -80,7 +83,7 @@ class TestStateViaVector:
 
     def test_agrees_with_trace_form(self, rng):
         inst = instance("shift_half", n=16)
-        omega = modular.omega_vectors(inst.system, inst.spectrum).omega_phi
+        omega = omega_of(inst.system, inst.spectrum)
         state = gibbs.gibbs_state(inst.system, inst.spectrum, "phi")
         worst = max(
             abs(
@@ -109,7 +112,7 @@ class TestTomitaInvolution:
 
     def test_is_involution(self, rng):
         inst = instance("shift_half", n=6)
-        md = modular.modular_data(modular.omega_vectors(inst.system, inst.spectrum).omega_phi)
+        md = modular.modular_data(omega_of(inst.system, inst.spectrum))
         v = random_observable(6, rng)
         back = modular.tomita_s(md, modular.tomita_s(md, v))
         assert numerics.hs_norm(back - v) <= modular.modular_tolerance(md.cond_omega)
@@ -135,7 +138,7 @@ class TestModularFlow:
 
     def test_group_law_and_star(self, rng):
         inst = instance("diag_sqrt", n=8)
-        md = modular.modular_data(modular.omega_vectors(inst.system, inst.spectrum).omega_phi)
+        md = modular.modular_data(omega_of(inst.system, inst.spectrum))
         tol = modular.modular_tolerance(md.cond_omega)
         x = random_observable(8, rng)
         s, t = 0.6, -1.9
@@ -173,7 +176,7 @@ class TestDeltaOperator:
         for name, n in (("jordan2", None), ("oscillator", 4), ("shift_half", 6)):
             inst = instance(name, n=n)
             md = modular.modular_data(
-                modular.omega_vectors(inst.system, inst.spectrum).omega_phi
+                omega_of(inst.system, inst.spectrum)
             )
             dense = modular.delta_matrix(md)
             got = np.sort(np.linalg.eigvalsh(dense))
@@ -182,14 +185,14 @@ class TestDeltaOperator:
 
     def test_oracle_dimension_guard(self):
         inst = instance("oscillator", n=16)
-        md = modular.modular_data(modular.omega_vectors(inst.system, inst.spectrum).omega_phi)
+        md = modular.modular_data(omega_of(inst.system, inst.spectrum))
         with pytest.raises(ValueError):
             modular.delta_matrix(md)
 
     def test_cyclic_separating_proxy(self):
         # X -> X Omega is injective with full-dimensional range when Omega is nonsingular
         inst = instance("shift_half", n=4)
-        md = modular.modular_data(modular.omega_vectors(inst.system, inst.spectrum).omega_phi)
+        md = modular.modular_data(omega_of(inst.system, inst.spectrum))
         right_mult = np.kron(np.eye(4), md.omega.T)
         assert md.eig.values[0] > 0
         assert np.linalg.matrix_rank(right_mult) == 16
@@ -218,13 +221,13 @@ class TestModularKms:
 
     def test_randomized(self, rng):
         inst = instance("exp_gen", n=8)
-        md = modular.modular_data(modular.omega_vectors(inst.system, inst.spectrum).omega_phi)
+        md = modular.modular_data(omega_of(inst.system, inst.spectrum))
         x, y = random_observable(8, rng), random_observable(8, rng)
         assert modular.verify_modular_kms(md, x, y, [0.0, 0.7, -1.3]) <= 1e-10
 
     def test_opposite_shift_fails(self, rng, monkeypatch):
         inst = instance("shift_half", n=16)
-        md = modular.modular_data(modular.omega_vectors(inst.system, inst.spectrum).omega_phi)
+        md = modular.modular_data(omega_of(inst.system, inst.spectrum))
         tol = modular.modular_tolerance(md.cond_omega)
         x, y = random_observable(16, rng), random_observable(16, rng)
         t_grid = [0.0, 0.5, 1.7, -2.3]
@@ -259,7 +262,7 @@ class TestCommutingFlowRelation:
             inst = instance(name, n=n)
             ham = dynamics.hamiltonian(inst.system, inst.spectrum)
             md = modular.modular_data(
-                modular.omega_vectors(inst.system, inst.spectrum).omega_phi
+                omega_of(inst.system, inst.spectrum)
             )
             x = random_observable(n, rng)
             for t in (0.4, -1.1):
@@ -269,7 +272,7 @@ class TestCommutingFlowRelation:
         # T = I: sigma_t is the reference evolution at rescaled time -beta t
         inst = instance("oscillator", n=6, beta=0.8)
         ham = dynamics.hamiltonian(inst.system, inst.spectrum)
-        md = modular.modular_data(modular.omega_vectors(inst.system, inst.spectrum).omega_phi)
+        md = modular.modular_data(omega_of(inst.system, inst.spectrum))
         x = random_observable(6, rng)
         t = 0.9
         lhs = modular.modular_flow(md, t, x)

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rieszgibbs import numerics, riesz
+from rieszgibbs import models, numerics, riesz, suites
 from rieszgibbs.errors import DimensionMismatch, NotUnitary, Singular
 from rieszgibbs.models import random_unitary
 
@@ -105,7 +107,21 @@ class TestNaturalness:
         tampered[:, 0] *= 2.0
         result = riesz.check_naturalness(sys_, tampered)
         assert not result.is_natural
-        assert result.max_deviation == pytest.approx(np.sqrt(2.0), rel=1e-12)
+        # T^H (2 psi_0) - f_0 = f_0
+        assert result.max_deviation == pytest.approx(1.0, rel=1e-12)
+
+    def test_planted_psi_defect_fails_the_suite(self):
+        inst = models.instantiate(models.preset("shift_half", n=16))
+        psi = inst.system.psi.copy()
+        psi[3, 5] += 1e-6
+
+        def naturalness(system):
+            result = suites.check_biorthogonality(inst._replace(system=system), 0, ())
+            return {s.name: s for s in result.subchecks}["naturalness"]
+
+        assert naturalness(inst.system).passed
+        planted = naturalness(replace(inst.system, psi=psi))
+        assert planted.residual > 1e-6 and not planted.passed
 
     def test_identity_frame_is_self_dual(self):
         sys_ = riesz.identity_system(3)
