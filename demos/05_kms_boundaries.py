@@ -53,8 +53,5 @@ for z0 in (0.5j, 0.3 + 0.25j, -1.0 + 0.75j):
     print(f"  z0 = {z0}: {cauchy_mean_residual(sf, z0):.3e}")
 
 print("\nstate as a trace against the non-normal density e^{-beta H} TT*/Zphi:")
-worst = max(
-    nonhermitian_density_residual(state, random_observable(16, rng))
-    for _ in range(10)
-)
+worst = nonhermitian_density_residual(state, [random_observable(16, rng) for _ in range(10)])
 print(f"  worst deviation from the trace form over 10 draws: {worst:.3e}")

@@ -100,8 +100,8 @@ def alpha_psi(ham: NonHermitianHamiltonian, t: float, x: CMatrix) -> CMatrix:
 
 
 def generator_of(ham: NonHermitianHamiltonian, which: Evolution) -> CMatrix:
-    """C H0 C^{-1}: H0, H or H^dag."""
-    return _family(ham, which).similarity(ham.spectrum.lambdas)
+    """C H0 C^{-1}: H0, H or H^dag, as ``hamiltonian`` stored them."""
+    return {"0": ham.h0, "phi": ham.h, "psi": ham.h_dag}[which]
 
 
 def generator_residual(

@@ -12,11 +12,24 @@ Boltzmann weights:
 Each admits an equivalent trace form, e.g. for the phi kind
 ``omega(X) = (1/Zphi) tr(T^H X T e^{-beta H0})``, and the agreement of the two
 evaluation routes is one of the identities this package certifies.
+
+Cost model.  The trace and sandwich routes are densities formed once per
+state and route, on first use, in O(N^3):
+
+    trace    rho   = ((C F) diag(w) F^H) C^H / Z,
+    sandwich sigma = K K^H / Z,   K = C e^{-beta H0/2} = (C F) diag(w^{1/2}) F^H,
+
+after which each observable costs O(N^2), as tr(rho X) = sum(rho * X^T).
+The defining sum ``omega_sum`` stays a per-observable O(N^3) evaluation: it
+is the oracle the density routes are checked against.  Folding it into a
+density (C F) diag(w) (C F)^H as well would, for F = I, repeat the trace
+density product bit for bit and leave nothing to compare.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -92,64 +105,104 @@ class GibbsState:
     """One of the three normalized functionals with its thermal data.
 
     ``gibbs_state`` is the only place that forms this data; strip functions,
-    Omega vectors and the ratio/density residuals read it from here.
+    Omega vectors and the ratio/density residuals read it from here.  The
+    route densities and the half factor are formed on first use and cached,
+    so a state that never evaluates a route never pays for it.
     """
 
     kind: FamilyKind
     partition: float
     family: Family = field(repr=False)
     spectrum: Spectrum = field(repr=False)
-    # Boltzmann weights e^{-beta lambda_n} and the trace-form factors
+    frame: CMatrix = field(repr=False)
+    # Boltzmann weights e^{-beta lambda_n}
     weights: NDArray[np.float64] = field(repr=False)
-    left: CMatrix = field(repr=False)
-    right_boltzmann: CMatrix = field(repr=False)
-    half_factor: CMatrix = field(repr=False)
 
     def __call__(self, x: CMatrix) -> complex:
         return omega_sum(self, x)
 
+    @cached_property
+    def trace_density(self) -> CMatrix:
+        """rho = ((C F) diag(w) F^H) C^H / Z, so that omega(X) = tr(rho X)."""
+        return _trace_density(self)
+
+    @cached_property
+    def half_factor(self) -> CMatrix:
+        """K = C e^{-beta H0/2}, formed as (C F) diag(w^{1/2}) F^H."""
+        return _half_factor(self)
+
+    @cached_property
+    def sandwich_density(self) -> CMatrix:
+        """sigma = K K^H / Z, the sandwich ordering's density."""
+        return _sandwich_density(self)
+
+
+def _trace_density(state: GibbsState) -> CMatrix:
+    right = (state.family.vectors * state.weights) @ numerics.dagger(state.frame)
+    return right @ numerics.dagger(state.family.c_op) / state.partition
+
+
+def _half_factor(state: GibbsState) -> CMatrix:
+    half = np.exp(-0.5 * state.spectrum.beta * state.spectrum.lambdas)
+    return (state.family.vectors * half) @ numerics.dagger(state.frame)
+
+
+def _sandwich_density(state: GibbsState) -> CMatrix:
+    k = state.half_factor
+    return k @ numerics.dagger(k) / state.partition
+
 
 def gibbs_state(system: RieszSystem, spectrum: Spectrum, kind: FamilyKind) -> GibbsState:
-    """The functional of one family, with trace-form factors C^H, C e^{-beta H0}
-    and C e^{-beta H0/2} (the last two formed as (C F) diag(.) F^H)."""
+    """The functional of one family; its route densities are formed on first use."""
     check_dims(system, spectrum)
     fam = family(system, kind)
-    f_h = numerics.dagger(system.frame)
-    w = spectrum.weights()
     return GibbsState(
         kind=kind,
         partition=family_partition(fam, spectrum),
         family=fam,
         spectrum=spectrum,
-        weights=w,
-        left=numerics.dagger(fam.c_op),
-        right_boltzmann=(fam.vectors * w) @ f_h,
-        half_factor=(fam.vectors * np.exp(-0.5 * spectrum.beta * spectrum.lambdas)) @ f_h,
+        frame=system.frame,
+        weights=spectrum.weights(),
     )
 
 
+def _observable(state: GibbsState, x: CMatrix) -> CMatrix:
+    """``x`` as an array, rejected unless it is N x N for the state's N."""
+    x = np.asarray(x)
+    n = state.spectrum.dim
+    if x.shape != (n, n):
+        raise DimensionMismatch(f"expected a {n}x{n} observable, got shape {x.shape}")
+    return x
+
+
 def omega_sum(state: GibbsState, x: CMatrix) -> complex:
-    """Weighted sum over the family: (1/Z) sum_n w_n (X v_n | v_n)."""
+    """Weighted sum over the family: (1/Z) sum_n w_n (X v_n | v_n), O(N^3) per X."""
+    x = _observable(state, x)
     v = state.family.vectors
     quad = np.einsum("in,in->n", v.conj(), x @ v)
     return complex(np.sum(state.weights * quad) / state.partition)
 
 
 def omega_trace(state: GibbsState, x: CMatrix) -> complex:
-    """Trace form of the same functional, e.g. (1/Zphi) tr(T^H X T e^{-beta H0})."""
-    return complex(np.trace(state.left @ x @ state.right_boltzmann) / state.partition)
+    """Trace form of the same functional, e.g. (1/Zphi) tr(T^H X T e^{-beta H0}),
+    as tr(rho X) against the cached trace density: O(N^2) per X."""
+    return complex(np.sum(state.trace_density * _observable(state, x).T))
 
 
 def omega_trace_sandwich(state: GibbsState, x: CMatrix) -> complex:
-    """Sandwich ordering (1/Z) tr((C e^{-beta H0/2})^H X (C e^{-beta H0/2}))."""
-    k = state.half_factor
-    return complex(np.trace(numerics.dagger(k) @ x @ k) / state.partition)
+    """Sandwich ordering (1/Z) tr((C e^{-beta H0/2})^H X (C e^{-beta H0/2})),
+    as tr(sigma X) against the cached sandwich density: O(N^2) per X."""
+    return complex(np.sum(state.sandwich_density * _observable(state, x).T))
 
 
 def omega_ratio_residual(state_phi: GibbsState, state_f: GibbsState, x: CMatrix) -> float:
-    """|omega_phi(X) - (Z0/Zphi) omega_f(T^H X T)|, zero in exact arithmetic."""
-    pulled = state_phi.left @ x @ state_phi.family.c_op
-    lhs = omega_sum(state_phi, x)
+    """|omega_phi(X) - (Z0/Zphi) omega_f(T^H X T)|, zero in exact arithmetic.
+
+    Both sides take the trace route; the pull-back T^H X T is formed densely.
+    """
+    c_op = state_phi.family.c_op
+    pulled = numerics.dagger(c_op) @ x @ c_op
+    lhs = omega_trace(state_phi, x)
     rhs = (state_f.partition / state_phi.partition) * omega_trace(state_f, pulled)
     return abs(lhs - rhs)
 
@@ -162,11 +215,11 @@ class FaithfulnessWitness(NamedTuple):
 def faithfulness_witness(state: GibbsState) -> FaithfulnessWitness:
     """Density operator rho with omega(X) = tr(X rho) and its smallest eigenvalue.
 
-    rho = C e^{-beta H0} C^H / Z (for the phi kind T e^{-beta H0} T^H / Zphi);
-    the functional is faithful exactly when rho is positive definite.  The
-    construction keeps rho Hermitian by symmetrizing roundoff.
+    rho is the state's trace density, C e^{-beta H0} C^H / Z (for the phi kind
+    T e^{-beta H0} T^H / Zphi); the functional is faithful exactly when rho is
+    positive definite.  The witness symmetrizes a copy to remove roundoff.
     """
-    rho = state.right_boltzmann @ state.left / state.partition
+    rho = state.trace_density
     rho = 0.5 * (rho + numerics.dagger(rho))
     eig = numerics.herm_eig(rho)
     return FaithfulnessWitness(min_eigenvalue=float(eig.values[0]), density=rho)

@@ -45,7 +45,7 @@ from numpy.typing import ArrayLike, NDArray
 
 from . import numerics
 from .dynamics import NonHermitianHamiltonian, evolve
-from .gibbs import GibbsState, Spectrum, omega_trace
+from .gibbs import GibbsState, Spectrum, omega_sum
 from .numerics import CMatrix
 
 
@@ -223,18 +223,22 @@ def cauchy_mean_residual(
     return float(abs(values[:-1].mean() - values[-1]))
 
 
-def nonhermitian_density_residual(state: GibbsState, x: CMatrix) -> float:
-    """Deviation of omega(X) from tr(e^{-beta H} M X)/Z, with M = C C^H.
+def nonhermitian_density_residual(state: GibbsState, xs: Sequence[CMatrix]) -> float:
+    """Largest deviation of omega(X) from tr(e^{-beta H} M X)/Z over ``xs``,
+    with M = C C^H.
 
     e^{-beta H} is the similarity transform C e^{-beta H0} C^{-1} (for the phi
     state T e^{-beta H0} T^{-1}); the identity rewrites the state as a trace
-    against the non-Hermitian density.
+    against the non-Hermitian density e^{-beta H} M / Z, formed once here and
+    compared with the defining sum on every observable.
     """
     c_op = state.family.c_op
-    exp_beta_h = state.family.similarity(state.weights)
-    twist = c_op @ numerics.dagger(c_op)
-    val = np.trace(exp_beta_h @ twist @ x) / state.partition
-    return abs(complex(val) - omega_trace(state, x))
+    density = state.family.similarity(state.weights) @ (c_op @ numerics.dagger(c_op))
+    density /= state.partition
+    return max(
+        (abs(complex(np.sum(density * x.T)) - omega_sum(state, x)) for x in xs),
+        default=0.0,
+    )
 
 
 def dual_strip_residual(

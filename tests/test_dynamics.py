@@ -145,6 +145,12 @@ class TestDeformedEvolutions:
 
 
 class TestGenerators:
+    def test_generator_is_the_stored_hamiltonian(self):
+        inst = instance("shift_half", n=8)
+        ham = dynamics.hamiltonian(inst.system, inst.spectrum)
+        for which, stored in (("0", ham.h0), ("phi", ham.h), ("psi", ham.h_dag)):
+            assert dynamics.generator_of(ham, which) is stored
+
     def test_commuting_observable_gives_zero(self):
         inst = instance("diag_sqrt", n=16)
         ham = dynamics.hamiltonian(inst.system, inst.spectrum)

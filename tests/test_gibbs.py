@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import instance
-from rieszgibbs import dynamics, gibbs, numerics, riesz, suites
+from rieszgibbs import dynamics, gibbs, models, numerics, riesz, suites
 from rieszgibbs.errors import BadModel, DimensionMismatch
 from rieszgibbs.models import random_observable, random_unitary
 
@@ -211,3 +211,108 @@ def test_psi_duality_fails_without_the_dual_route(monkeypatch):
 def test_state_is_callable(jordan2):
     state = gibbs.gibbs_state(jordan2.system, jordan2.spectrum, "phi")
     assert state(np.eye(2)) == pytest.approx(1.0, abs=1e-14)
+
+
+class TestObservableShape:
+    @pytest.mark.parametrize("route", ["omega_sum", "omega_trace", "omega_trace_sandwich"])
+    def test_wrong_shape_raises(self, route):
+        inst = instance("shift_half", n=8)
+        state = gibbs.gibbs_state(inst.system, inst.spectrum, "phi")
+        for shape in ((1, 8), (8, 1), (9, 9)):
+            with pytest.raises(DimensionMismatch):
+                getattr(gibbs, route)(state, np.ones(shape, dtype=complex))
+
+
+def _dense_chain(system, spectrum, kind, x):
+    """tr(C^H X C e^{-beta H0}) / tr(C e^{-beta H0} C^H), every product dense."""
+    c = {
+        "f": np.eye(system.dim),
+        "phi": system.t_op,
+        "psi": np.linalg.inv(system.t_op).conj().T,
+    }[kind]
+    f = system.frame
+    boltz = f @ np.diag(spectrum.weights()) @ f.conj().T
+    z = np.trace(c @ boltz @ c.conj().T)
+    return complex(np.trace(c.conj().T @ x @ c @ boltz) / z)
+
+
+class TestRoutesOnRandomFrame:
+    """F != I: every route matches a dense trace chain formed in the test."""
+
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("kind", ["f", "phi", "psi"])
+    def test_routes_match_dense_chain(self, n, kind):
+        rng = np.random.default_rng(n)
+        t_op = np.eye(n) + 0.5 * np.eye(n, k=-1) + 0.1 * random_observable(n, rng)
+        system = riesz.build_system(random_unitary(n, rng), t_op)
+        spectrum = gibbs.Spectrum(lambdas=np.linspace(0.5, 4.0, n), beta=0.8)
+        state = gibbs.gibbs_state(system, spectrum, kind)
+        tol = gibbs.state_tolerance(system.cond_t, n)
+        for _ in range(4):
+            x = random_observable(n, rng)
+            expected = _dense_chain(system, spectrum, kind, x)
+            for route in (gibbs.omega_sum, gibbs.omega_trace, gibbs.omega_trace_sandwich):
+                assert abs(route(state, x) - expected) <= tol
+
+
+def _gibbs_sub(name, n=16, preset="shift_half"):
+    subs = suites.check_gibbs(instance(preset, n=n), 0, ())
+    return {s.name: s for s in subs.subchecks}[name]
+
+
+def _plant(monkeypatch, builder, defect):
+    """Add ``defect(n)`` to every density the named builder forms."""
+    original = getattr(gibbs, builder)
+    monkeypatch.setattr(
+        gibbs, builder, lambda state: original(state) + defect(state.spectrum.dim)
+    )
+
+
+class TestPlantedDensityDefects:
+    """Each sub-check reads the route whose density is perturbed."""
+
+    def test_trace_density_defect_fails_sum_vs_trace(self, monkeypatch):
+        assert _gibbs_sub("sum_vs_trace").passed
+        _plant(monkeypatch, "_trace_density", lambda n: 1e-7 * np.eye(n))
+        assert not _gibbs_sub("sum_vs_trace").passed
+
+    @pytest.mark.parametrize("preset, n", [("shift_half", 16), ("jordan2", None)])
+    def test_sandwich_density_defect_fails_trace_orderings(self, monkeypatch, preset, n):
+        assert _gibbs_sub("trace_orderings", n, preset).passed
+        _plant(monkeypatch, "_sandwich_density", lambda n: 1e-7 * np.eye(n))
+        assert not _gibbs_sub("trace_orderings", n, preset).passed
+
+    def test_non_hermitian_defect_fails_hermiticity(self, monkeypatch):
+        assert _gibbs_sub("hermiticity").passed
+        # traceless and off-diagonal: only rho's Hermitian symmetry is broken
+        _plant(monkeypatch, "_trace_density", lambda n: 1e-6 * np.eye(n, k=1))
+        assert not _gibbs_sub("hermiticity").passed
+
+    def test_trace_density_defect_fails_unitality_on_unitary_t(self, monkeypatch):
+        # oscillator has T = I, where unitality reads exactly 0.0
+        assert _gibbs_sub("unitality", 16, "oscillator").passed
+        _plant(monkeypatch, "_trace_density", lambda n: 1e-12 * np.eye(n))
+        assert not _gibbs_sub("unitality", 16, "oscillator").passed
+
+
+def test_densities_are_formed_only_where_read(monkeypatch):
+    """check_kms and a sweep row evaluate no trace or sandwich route."""
+    counts = dict.fromkeys(("_trace_density", "_half_factor", "_sandwich_density"), 0)
+
+    def counting(name):
+        original = getattr(gibbs, name)
+
+        def build(state):
+            counts[name] += 1
+            return original(state)
+
+        return build
+
+    for name in counts:
+        monkeypatch.setattr(gibbs, name, counting(name))
+    suites.check_kms(instance("shift_half", n=16), 0, (0.0, 0.9))
+    models._sweep_row(models.preset("shift_half", n=16), 16.0, None)
+    assert counts == {"_trace_density": 0, "_half_factor": 0, "_sandwich_density": 0}
+    # control: check_gibbs forms each density once per state that reads it
+    suites.check_gibbs(instance("shift_half", n=16), 0, ())
+    assert counts == {"_trace_density": 4, "_half_factor": 3, "_sandwich_density": 3}

@@ -238,9 +238,8 @@ class TestDensityIdentity:
             dim = inst.system.dim
             for kind in ("f", "phi", "psi"):
                 state = gibbs.gibbs_state(inst.system, inst.spectrum, kind)
-                for _ in range(5):
-                    x = random_observable(dim, rng)
-                    assert kms.nonhermitian_density_residual(state, x) <= 1e-11
+                xs = [random_observable(dim, rng) for _ in range(5)]
+                assert kms.nonhermitian_density_residual(state, xs) <= 1e-11
 
 
 def test_trace_cyclicity_along_regrouping(rng, jordan2):
