@@ -10,8 +10,13 @@ the conditioning of T.
 
 import numpy as np
 
-from rieszgibbs import build_system, check_naturalness, dual_system, verify_biorthogonality
-from rieszgibbs.riesz import biorthogonality_tolerance
+from rieszgibbs.riesz import (
+    biorthogonality_tolerance,
+    build_system,
+    check_naturalness,
+    dual_system,
+    verify_biorthogonality,
+)
 
 print("=== 2x2 Jordan-block instance ===")
 t = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)

@@ -15,7 +15,7 @@ roundoff; faithfulness is witnessed by the positive density T e^{-bH0} T*/Zphi.
 
 import numpy as np
 
-from rieszgibbs import (
+from rieszgibbs.gibbs import (
     faithfulness_witness,
     gibbs_state,
     omega_ratio_residual,

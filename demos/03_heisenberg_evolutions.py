@@ -10,14 +10,11 @@ adjoint: alpha^phi_t(X)* = alpha^psi_t(X*).
 
 import numpy as np
 
-from rieszgibbs import (
-    alpha0,
-    alpha_phi,
-    alpha_psi,
-    exp_ith,
-    exp_ithdag,
+from rieszgibbs.dynamics import (
+    evolve,
     generator_residual,
     hamiltonian,
+    propagator,
     spectrum_residual,
 )
 from rieszgibbs.models import instantiate, preset, random_observable
@@ -30,26 +27,26 @@ print("non-normality of H:", f"||H H* - H* H||_F = {np.linalg.norm(ham.h @ ham.h
 print(f"spectrum residual vs lambda_n: {spectrum_residual(ham):.3e}  (real spectrum)")
 
 t = 1.7
-u = exp_ith(ham, t)
+u = propagator(ham, "phi", t)
 print(f"\npropagator adjoint: ||(e^(itH))* - e^(-itH*)||_F = "
-      f"{np.linalg.norm(u.conj().T - exp_ithdag(ham, -t)):.3e}")
+      f"{np.linalg.norm(u.conj().T - propagator(ham, 'psi', -t)):.3e}")
 
 rng = np.random.default_rng(3)
 x = random_observable(12, rng)
 
 s = 0.8
-lhs = alpha_phi(ham, s + t, x)
-rhs = alpha_phi(ham, s, alpha_phi(ham, t, x))
+lhs = evolve(ham, "phi", s + t, x)
+rhs = evolve(ham, "phi", s, evolve(ham, "phi", t, x))
 print(f"group law: ||alpha_(s+t) - alpha_s(alpha_t)||_F = {np.linalg.norm(lhs - rhs):.3e}")
 
-adj = np.linalg.norm(alpha_phi(ham, t, x).conj().T - alpha_psi(ham, t, x.conj().T))
+adj = np.linalg.norm(evolve(ham, "phi", t, x).conj().T - evolve(ham, "psi", t, x.conj().T))
 print(f"adjoint exchange: ||alpha^phi_t(X)* - alpha^psi_t(X*)||_F = {adj:.3e}")
 
-sandwich = system.t_op @ alpha0(ham, t, system.t_inv @ x @ system.t_op) @ system.t_inv
-print(f"factorization through alpha0: {np.linalg.norm(alpha_phi(ham, t, x) - sandwich):.3e}")
+sandwich = system.t_op @ evolve(ham, "0", t, system.t_inv @ x @ system.t_op) @ system.t_inv
+print(f"factorization through alpha^0: {np.linalg.norm(evolve(ham, 'phi', t, x) - sandwich):.3e}")
 
 print("\nfirst-order difference quotient converges to i[G, X] (residual ~ t):")
-print(f"{'t_step':>10s} {'alpha0':>12s} {'alpha^phi':>12s} {'alpha^psi':>12s}")
+print(f"{'t_step':>10s} {'alpha^0':>12s} {'alpha^phi':>12s} {'alpha^psi':>12s}")
 for t_step in (1e-2, 5e-3, 2.5e-3, 1.25e-3):
     row = [generator_residual(ham, which, x, t_step) for which in ("0", "phi", "psi")]
     print(f"{t_step:10.2e} {row[0]:12.4e} {row[1]:12.4e} {row[2]:12.4e}")

@@ -10,7 +10,13 @@ domain, and summability diagnostics for three spectrum growth laws.
 
 import numpy as np
 
-from rieszgibbs import build_density, entropy_generalized, entropy_standard, matrix_log_series, summability_report
+from rieszgibbs.entropy import (
+    build_density,
+    entropy_generalized,
+    entropy_standard,
+    matrix_log_series,
+    summability_report,
+)
 from rieszgibbs.models import instantiate, preset
 
 print("=== entropy equality across constructing operators ===")
@@ -26,7 +32,8 @@ inst = instantiate(preset("jordan2"))
 print(f"  S = {entropy_standard(build_density(inst.system, inst.spectrum)):.6f}")
 
 print("\n=== power-series logarithm inside spectrum(rho0) in (0, 2) ===")
-from rieszgibbs import Spectrum, build_system
+from rieszgibbs.gibbs import Spectrum
+from rieszgibbs.riesz import build_system
 
 sys4 = build_system(np.eye(4), np.eye(4) + 0.3 * np.eye(4, k=-1))
 spec4 = Spectrum(lambdas=np.array([0.2, 0.4, 0.6, 0.8]), beta=1.0)

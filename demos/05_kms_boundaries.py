@@ -14,12 +14,12 @@ back.  Analyticity inside the strip is probed with the Cauchy mean value.
 
 import numpy as np
 
-from rieszgibbs import (
+from rieszgibbs.gibbs import gibbs_state
+from rieszgibbs.kms import (
     cauchy_mean_residual,
-    gibbs_state,
     nonhermitian_density_residual,
-    strip_f,
     strip_function,
+    strip_values,
     verify_kms_like,
 )
 from rieszgibbs.models import instantiate, preset, random_observable
@@ -44,8 +44,8 @@ print(f"  shifted boundary residual = {res_psi.max_shifted:.3e}")
 
 print("\nvalues along the strip at t = 0.5:")
 beta = inst.spectrum.beta
-for s in (0.0, 0.25, 0.5, 0.75, 1.0):
-    val = strip_f(sf, 0.5 + 1j * s * beta)
+heights = (0.0, 0.25, 0.5, 0.75, 1.0)
+for s, val in zip(heights, strip_values(sf, [0.5 + 1j * s * beta for s in heights])):
     print(f"  Im z = {s * beta:4.2f}: f = {val.real:+.6f} {val.imag:+.6f}i")
 
 print("\nCauchy mean-value residual at interior points:")

@@ -85,6 +85,23 @@ def _validate_rule(section: str, rule: Mapping, table: Mapping[str, set[str]]) -
     return dict(rule)
 
 
+def _is_number(value) -> bool:
+    """A JSON number: int or float, never a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _model_n(n) -> int:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ConfigError("model.N must be a positive integer")
+    return n
+
+
+def _model_beta(beta) -> float:
+    if not _is_number(beta) or not beta > 0:
+        raise ConfigError("model.beta must be a positive number")
+    return float(beta)
+
+
 def _parse_model(data: Mapping, seed: int) -> ModelSpec:
     if not isinstance(data, Mapping):
         raise ConfigError("model must be an object")
@@ -92,21 +109,15 @@ def _parse_model(data: Mapping, seed: int) -> ModelSpec:
         _require_keys("model", data, {"preset", "N", "beta"}, {"preset"})
         return models.preset(
             str(data["preset"]),
-            n=int(data["N"]) if "N" in data else None,
-            beta=float(data["beta"]) if "beta" in data else None,
+            n=_model_n(data["N"]) if "N" in data else None,
+            beta=_model_beta(data["beta"]) if "beta" in data else None,
             seed=seed,
         )
     _require_keys("model", data, {"name", "N", "beta", "lambda", "T"}, {"N", "beta", "lambda", "T"})
-    n = data["N"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ConfigError("model.N must be a positive integer")
-    beta = data["beta"]
-    if isinstance(beta, bool) or not isinstance(beta, (int, float)) or not beta > 0:
-        raise ConfigError("model.beta must be a positive number")
     return ModelSpec(
         name=str(data.get("name", "custom")),
-        n=n,
-        beta=float(beta),
+        n=_model_n(data["N"]),
+        beta=_model_beta(data["beta"]),
         lambda_rule=_validate_rule("model.lambda", data["lambda"], _LAMBDA_KEYS),
         t_rule=_validate_rule("model.T", data["T"], _T_KEYS),
         seed=seed,
@@ -121,7 +132,7 @@ def load_config(data: Mapping) -> RunConfig:
     _require_keys("config", data, allowed, {"model"})
 
     seed = data.get("seed", 0)
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise ConfigError("seed must be an integer in [0, 2^64)")
 
     checks = tuple(data.get("checks", suites.CHECKS))
@@ -138,12 +149,12 @@ def load_config(data: Mapping) -> RunConfig:
     if bad:
         raise ConfigError(f"tolerance override(s) for unknown check(s): {sorted(bad)}")
     for key, value in tolerances.items():
-        if not isinstance(value, (int, float)) or not value > 0:
+        if not _is_number(value) or not value > 0:
             raise ConfigError(f"tolerance override {key} must be a positive number")
 
     t_grid = data.get("t_grid", DEFAULT_T_GRID)
     if not isinstance(t_grid, (list, tuple)) or not all(
-        isinstance(t, (int, float)) and np.isfinite(t) for t in t_grid
+        _is_number(t) and np.isfinite(t) for t in t_grid
     ):
         raise ConfigError("t_grid must be a list of finite numbers")
     if "t_grid" in data and not t_grid:

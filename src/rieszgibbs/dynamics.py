@@ -12,14 +12,15 @@ never through a general dense matrix exponential: each is the spectral sum
 C e^{itH0} C^{-1} = sum_n e^{it lambda_n} v_n d_n^H over the biorthogonal
 columns of its family (``riesz.family``; the frame family for H0, the phi
 family for H, the psi family for H^dag).  Three one-parameter groups act on
-observables:
+observables, each as ``evolve(ham, which, t, X)`` with ``which`` = "0", "phi"
+or "psi":
 
-    alpha0_t(X)   = e^{itH0} X e^{-itH0}          (a *-automorphism group)
-    alphaphi_t(X) = e^{itH}  X e^{-itH}
-    alphapsi_t(X) = e^{itHd} X e^{-itHd}
+    alpha^0_t(X)   = e^{itH0} X e^{-itH0}          (a *-automorphism group)
+    alpha^phi_t(X) = e^{itH}  X e^{-itH}
+    alpha^psi_t(X) = e^{itHd} X e^{-itHd}
 
 The deformed pair are automorphism groups that exchange under the adjoint,
-``alphaphi_t(X)^H = alphapsi_t(X^H)``; individually they do not respect the
+``alpha^phi_t(X)^H = alpha^psi_t(X^H)``; individually they do not respect the
 star operation.
 """
 
@@ -72,31 +73,9 @@ def propagator(ham: NonHermitianHamiltonian, which: Evolution, t: complex) -> CM
     return _family(ham, which).similarity(np.exp(1j * t * ham.spectrum.lambdas))
 
 
-def exp_ith(ham: NonHermitianHamiltonian, t: float) -> CMatrix:
-    """e^{itH} via the similarity factorization."""
-    return propagator(ham, "phi", t)
-
-
-def exp_ithdag(ham: NonHermitianHamiltonian, t: float) -> CMatrix:
-    """e^{itH^dag} via the adjoint similarity factorization."""
-    return propagator(ham, "psi", t)
-
-
 def evolve(ham: NonHermitianHamiltonian, which: Evolution, t: complex, x: CMatrix) -> CMatrix:
     """U_t X U_{-t} with the propagator of ``which``."""
     return propagator(ham, which, t) @ x @ propagator(ham, which, -t)
-
-
-def alpha0(ham: NonHermitianHamiltonian, t: float, x: CMatrix) -> CMatrix:
-    return evolve(ham, "0", t, x)
-
-
-def alpha_phi(ham: NonHermitianHamiltonian, t: float, x: CMatrix) -> CMatrix:
-    return evolve(ham, "phi", t, x)
-
-
-def alpha_psi(ham: NonHermitianHamiltonian, t: float, x: CMatrix) -> CMatrix:
-    return evolve(ham, "psi", t, x)
 
 
 def generator_of(ham: NonHermitianHamiltonian, which: Evolution) -> CMatrix:

@@ -13,10 +13,6 @@ class NoConvergence(RieszGibbsError):
     """A factorization failed or did not reach its accuracy contract."""
 
 
-class DomainError(RieszGibbsError):
-    """A scalar function was evaluated outside its domain (e.g. log at <= 0)."""
-
-
 class Singular(RieszGibbsError):
     """Matrix is singular or too ill-conditioned to invert reliably."""
 

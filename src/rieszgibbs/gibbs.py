@@ -17,9 +17,11 @@ Cost model.  The trace and sandwich routes are densities formed once per
 state and route, on first use, in O(N^3):
 
     trace    rho   = ((C F) diag(w) F^H) C^H / Z,
-    sandwich sigma = K K^H / Z,   K = C e^{-beta H0/2} = (C F) diag(w^{1/2}) F^H,
+    sandwich sigma = K K^H / Z,   K = (C F) diag(w^{1/2}) = C e^{-beta H0/2} F,
 
 after which each observable costs O(N^2), as tr(rho X) = sum(rho * X^T).
+The half factor K omits the trailing unitary F^H of C e^{-beta H0/2} =
+(C F) diag(w^{1/2}) F^H: K K^H and |K^H|, its only readers, do not see it.
 The defining sum ``omega_sum`` stays a per-observable O(N^3) evaluation: it
 is the oracle the density routes are checked against.  Folding it into a
 density (C F) diag(w) (C F)^H as well would, for F = I, repeat the trace
@@ -128,7 +130,7 @@ class GibbsState:
 
     @cached_property
     def half_factor(self) -> CMatrix:
-        """K = C e^{-beta H0/2}, formed as (C F) diag(w^{1/2}) F^H."""
+        """K = (C F) diag(w^{1/2}), i.e. C e^{-beta H0/2} times the unitary F."""
         return _half_factor(self)
 
     @cached_property
@@ -144,7 +146,7 @@ def _trace_density(state: GibbsState) -> CMatrix:
 
 def _half_factor(state: GibbsState) -> CMatrix:
     half = np.exp(-0.5 * state.spectrum.beta * state.spectrum.lambdas)
-    return (state.family.vectors * half) @ numerics.dagger(state.frame)
+    return state.family.vectors * half
 
 
 def _sandwich_density(state: GibbsState) -> CMatrix:

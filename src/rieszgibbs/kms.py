@@ -44,7 +44,6 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from . import numerics
-from .dynamics import NonHermitianHamiltonian, evolve
 from .gibbs import GibbsState, Spectrum, omega_sum
 from .numerics import CMatrix
 
@@ -104,23 +103,6 @@ def strip_function(state: GibbsState, x: CMatrix, y: CMatrix) -> StripFunction:
     )
 
 
-def _warn_outside_strip(zs: ArrayLike, beta: float) -> None:
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    outside = zs[(zs.imag < 0.0) | (zs.imag > beta)]
-    if outside.size:
-        warnings.warn(
-            f"{outside.size} point(s), first z = {complex(outside[0])}, lie outside "
-            f"the strip 0 <= Im z <= {beta}; values grow without the thermal damping",
-            stacklevel=3,
-        )
-
-
-def alpha_phi_z(ham: NonHermitianHamiltonian, z: complex, y: CMatrix) -> CMatrix:
-    """Complex-time conjugation T e^{izH0} T^{-1} Y T e^{-izH0} T^{-1}."""
-    _warn_outside_strip(z, ham.spectrum.beta)
-    return evolve(ham, "phi", z, y)
-
-
 def strip_values(sf: StripFunction, zs: ArrayLike) -> NDArray[np.complex128]:
     """f(z) at every point of ``zs``, as one contraction ((U @ G) * V).sum(1) / Z.
 
@@ -128,16 +110,17 @@ def strip_values(sf: StripFunction, zs: ArrayLike) -> NDArray[np.complex128]:
     Warns once when any point lies outside the strip 0 <= Im z <= beta.
     """
     zs = np.asarray(zs, dtype=complex).reshape(-1)
-    _warn_outside_strip(zs, sf.beta)
+    outside = zs[(zs.imag < 0.0) | (zs.imag > sf.beta)]
+    if outside.size:
+        warnings.warn(
+            f"{outside.size} point(s), first z = {complex(outside[0])}, lie outside "
+            f"the strip 0 <= Im z <= {sf.beta}; values grow without the thermal damping",
+            stacklevel=2,
+        )
     lam = sf.spectrum.lambdas
     u = np.exp(np.multiply.outer(1j * (1j * sf.beta - zs), lam))
     v = np.exp(np.multiply.outer(1j * zs, lam))
     return ((u @ sf.kernel) * v).sum(axis=1) / sf.partition
-
-
-def strip_f(sf: StripFunction, z: complex) -> complex:
-    """Evaluate the strip function at one point z = t + is, 0 <= s <= beta."""
-    return complex(strip_values(sf, [z])[0])
 
 
 def _evolved_y(sf: StripFunction, t: float) -> CMatrix:

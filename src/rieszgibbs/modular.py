@@ -2,9 +2,7 @@
 
 The HS space carries the inner product (S|T) = tr(T^H S); its vectors ARE
 plain N x N matrices and are never flattened.  Observables act by left
-multiplication, bounded companions by right multiplication:
-
-    pi_left(X, V) = X V,      pi_right(A, V) = V A.
+multiplication X V, bounded companions by right multiplication V A.
 
 A positive nonsingular unit vector Omega (one per Gibbs state) determines
 
@@ -15,11 +13,6 @@ A positive nonsingular unit vector Omega (one per Gibbs state) determines
 and the closure of X Omega -> X^H Omega factors as J Delta^{1/2}.  All maps
 are applied as two-sided multiplications; a dense N^2 x N^2 materialization
 of Delta exists only as a small-N test oracle.
-
-The flow above uses the exponent pair (2it, -2it) as derived from
-Delta = Omega^2 (.) Omega^{-2}; the halved variant Omega^{it} X Omega^{-it}
-is exposed separately as ``modular_flow_halved`` since both normalizations
-circulate and they differ by a rescaling of time.
 """
 
 from __future__ import annotations
@@ -30,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics
-from .dynamics import NonHermitianHamiltonian, alpha_phi
-from .errors import DimensionMismatch, Singular
+from .dynamics import NonHermitianHamiltonian, evolve
+from .errors import Singular
 from .gibbs import GibbsState
 from .numerics import CMatrix, HermitianEig
 
@@ -72,37 +65,21 @@ def omega_power(md: ModularData, exponent: complex) -> CMatrix:
     return (md.eig.vectors * w) @ numerics.dagger(md.eig.vectors)
 
 
-def pi_left(x: CMatrix, v: CMatrix) -> CMatrix:
-    """Left-multiplication representation (multiplicative)."""
-    x = np.asarray(x, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if x.shape[1] != v.shape[0]:
-        raise DimensionMismatch(f"cannot left-multiply {v.shape} by {x.shape}")
-    return x @ v
-
-
-def pi_right(a: CMatrix, v: CMatrix) -> CMatrix:
-    """Right-multiplication representation (anti-multiplicative)."""
-    a = np.asarray(a, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if v.shape[1] != a.shape[0]:
-        raise DimensionMismatch(f"cannot right-multiply {v.shape} by {a.shape}")
-    return v @ a
-
-
 def omega_vector(state: GibbsState) -> CMatrix:
     """The unit HS vector implementing the state as (X Omega | Omega).
 
     Omega = |(C e^{-beta H0/2})^H| / sqrt(Z): e^{-beta H0/2} / sqrt(Z0) for
-    the frame state, and C = T or (T^{-1})^H for the phi and psi states.  The
-    1/sqrt(Z) factor is exactly what gives the vector unit HS norm.
+    the frame state, and C = T or (T^{-1})^H for the phi and psi states.  It
+    is read off the half factor K = (C F) diag(w^{1/2}) as |K^H| / sqrt(Z),
+    since C e^{-beta H0/2} = K F^H and |K^H| does not see the unitary F^H.
+    The 1/sqrt(Z) factor is exactly what gives the vector unit HS norm.
     """
     return numerics.abs_of_adjoint(state.half_factor) / np.sqrt(state.partition)
 
 
 def state_via_vector(x: CMatrix, omega: CMatrix) -> complex:
-    """(pi_left(X) Omega | Omega) = tr(Omega X Omega) for Hermitian Omega."""
-    return complex(numerics.hs_inner(pi_left(x, omega), omega))
+    """(X Omega | Omega) = tr(Omega X Omega) for Hermitian Omega."""
+    return complex(numerics.hs_inner(x @ omega, omega))
 
 
 def tomita_s(md: ModularData, v: CMatrix) -> CMatrix:
@@ -123,12 +100,6 @@ def delta_apply(md: ModularData, v: CMatrix) -> CMatrix:
 def modular_flow(md: ModularData, t: float, x: CMatrix) -> CMatrix:
     """sigma_t(X) = Omega^{2it} X Omega^{-2it}, a *-automorphism for each t."""
     u = omega_power(md, 2j * t)
-    return u @ x @ numerics.dagger(u)
-
-
-def modular_flow_halved(md: ModularData, t: float, x: CMatrix) -> CMatrix:
-    """Time-rescaled variant Omega^{it} X Omega^{-it}."""
-    u = omega_power(md, 1j * t)
     return u @ x @ numerics.dagger(u)
 
 
@@ -169,14 +140,14 @@ def verify_modular_kms(
 
 
 def commutant_residual(a: CMatrix, x: CMatrix, v: CMatrix, w: CMatrix) -> float:
-    """Weak-commutation defect |(pi_right(A) pi_left(X) V | W) - (pi_right(A) V | pi_left(X^H) W)|.
+    """Weak-commutation defect |((X V) A | W) - (V A | X^H W)|.
 
     Right multiplications commute with left multiplications, so this vanishes
     for every sample; it is the finite-dimensional shadow of the commutant
     identification.
     """
-    lhs = numerics.hs_inner(pi_right(a, pi_left(x, v)), w)
-    rhs = numerics.hs_inner(pi_right(a, v), pi_left(numerics.dagger(x), w))
+    lhs = numerics.hs_inner((x @ v) @ a, w)
+    rhs = numerics.hs_inner(v @ a, numerics.dagger(x) @ w)
     return abs(lhs - rhs)
 
 
@@ -209,7 +180,7 @@ def commuting_flow_residual(
     Omega_phi^2 is proportional to |T^H|^2 e^{-beta H0} and the evolution
     factors through the modular flow:
 
-        alphaphi_t(X) = |T^H|^{2it/beta} sigma_{-t/beta}(X) |T^H|^{-2it/beta},
+        alpha^phi_t(X) = |T^H|^{2it/beta} sigma_{-t/beta}(X) |T^H|^{-2it/beta},
 
     with sigma the (2it)-normalized flow of Omega_phi.  Returns the Frobenius
     deviation of the two sides; meaningful only for commuting [T, H0].
@@ -220,5 +191,5 @@ def commuting_flow_residual(
     phases = np.exp((2j * t / beta) * np.log(abs_eig.values.astype(complex)))
     twist = (abs_eig.vectors * phases) @ numerics.dagger(abs_eig.vectors)
     rhs = twist @ modular_flow(md, -t / beta, x) @ numerics.dagger(twist)
-    lhs = alpha_phi(ham, t, x)
+    lhs = evolve(ham, "phi", t, x)
     return numerics.frobenius(lhs - rhs)

@@ -3,7 +3,7 @@
 Every operator in this package is a square ``complex128`` ndarray of some
 fixed dimension N.  This module wraps the handful of factorizations the rest
 of the library is expressed through (Hermitian eigendecomposition, SVD,
-spectral calculus, inversion, traces) and enforces their accuracy contracts:
+inversion, traces) and enforces their accuracy contracts:
 each routine validates its own result and raises instead of returning a
 silently inaccurate factorization.
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DomainError, NoConvergence, NotHermitian, Singular
+from .errors import NoConvergence, NotHermitian, Singular
 
 CMatrix = NDArray[np.complex128]
 
@@ -124,8 +124,11 @@ def cond(a: CMatrix) -> float:
     return float(s[0] / s[-1])
 
 
-def inverse(a: CMatrix) -> CMatrix:
-    """Inverse of ``a``, refused when the condition estimate exceeds COND_MAX."""
+def inverse(a: CMatrix) -> tuple[CMatrix, float]:
+    """Inverse of ``a`` and the condition number checked before inverting.
+
+    Refused with Singular when that condition number exceeds COND_MAX.
+    """
     a = as_operator(a)
     c = cond(a)
     if not np.isfinite(c) or c > COND_MAX:
@@ -134,7 +137,7 @@ def inverse(a: CMatrix) -> CMatrix:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise Singular(str(exc)) from exc
-    return inv
+    return inv, c
 
 
 def abs_of_adjoint(a: CMatrix) -> CMatrix:
@@ -144,36 +147,6 @@ def abs_of_adjoint(a: CMatrix) -> CMatrix:
     eig = herm_eig(gram, check=False)
     roots = np.sqrt(np.clip(eig.values, 0.0, None))
     return eig.vectors @ np.diag(roots) @ dagger(eig.vectors)
-
-
-def func_of_eig(eig: HermitianEig, f) -> CMatrix:
-    """Apply a scalar function through an existing eigendecomposition."""
-    with np.errstate(all="ignore"):
-        w = np.asarray(f(eig.values), dtype=complex)
-    if w.shape != eig.values.shape:
-        raise ValueError("scalar function must map the eigenvalue vector elementwise")
-    if not np.all(np.isfinite(w)):
-        bad = eig.values[~np.isfinite(w)]
-        raise DomainError(f"function undefined or overflowing at eigenvalue(s) {bad}")
-    return (eig.vectors * w) @ dagger(eig.vectors)
-
-
-def func_of_hermitian(a: CMatrix, f) -> CMatrix:
-    """Spectral calculus f(A) = V f(Lambda) V^H for Hermitian A.
-
-    Exactly diagonal inputs short-circuit to f applied on the diagonal, so
-    diagonal examples are reproduced without roundoff.
-    """
-    a = as_operator(a)
-    diag = np.diag(a)
-    if np.count_nonzero(a - np.diag(diag)) == 0 and np.all(diag.imag == 0.0):
-        with np.errstate(all="ignore"):
-            w = np.asarray(f(diag.real), dtype=complex)
-        if not np.all(np.isfinite(w)):
-            bad = diag.real[~np.isfinite(w)]
-            raise DomainError(f"function undefined or overflowing at eigenvalue(s) {bad}")
-        return np.diag(w)
-    return func_of_eig(herm_eig(a), f)
 
 
 def trace(a: CMatrix) -> complex:

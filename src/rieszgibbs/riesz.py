@@ -78,8 +78,7 @@ def build_system(frame: CMatrix, t_op: CMatrix) -> RieszSystem:
     defect = numerics.frobenius(numerics.dagger(frame) @ frame - np.eye(n))
     if defect > FRAME_TOL * n:
         raise NotUnitary(f"frame unitarity defect {defect:.3e} exceeds {FRAME_TOL * n:.1e}")
-    t_inv = numerics.inverse(t_op)
-    cond_t = numerics.cond(t_op)
+    t_inv, cond_t = numerics.inverse(t_op)
     phi = t_op @ frame
     psi = numerics.dagger(t_inv) @ frame
     sys_ = RieszSystem(
@@ -97,12 +96,6 @@ def build_system(frame: CMatrix, t_op: CMatrix) -> RieszSystem:
     if dev > tol:
         raise NoConvergence(f"biorthogonality deviation {dev:.3e} exceeds {tol:.3e}")
     return sys_
-
-
-def identity_system(n: int) -> RieszSystem:
-    """The self-dual system phi_n = psi_n = e_n."""
-    eye = np.eye(n, dtype=complex)
-    return build_system(eye, eye)
 
 
 def dual_system(system: RieszSystem) -> RieszSystem:

@@ -176,21 +176,22 @@ def check_dynamics(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> G
         r_adjoint = max(
             r_adjoint,
             numerics.frobenius(
-                numerics.dagger(dyn.alpha_phi(ham, t, x))
-                - dyn.alpha_psi(ham, t, numerics.dagger(x))
+                numerics.dagger(dyn.evolve(ham, "phi", t, x))
+                - dyn.evolve(ham, "psi", t, numerics.dagger(x))
             ),
         )
         pulled = system.t_inv @ x @ system.t_op
         r_inter = max(
             r_inter,
             numerics.frobenius(
-                dyn.alpha_phi(ham, t, x) @ system.t_op
-                - system.t_op @ dyn.alpha0(ham, t, pulled)
+                dyn.evolve(ham, "phi", t, x) @ system.t_op
+                - system.t_op @ dyn.evolve(ham, "0", t, pulled)
             ),
         )
     t_probe = 1.5
     r_prop = numerics.frobenius(
-        numerics.dagger(dyn.exp_ith(ham, t_probe)) - dyn.exp_ithdag(ham, -t_probe)
+        numerics.dagger(dyn.propagator(ham, "phi", t_probe))
+        - dyn.propagator(ham, "psi", -t_probe)
     )
 
     r_halving = 0.0
@@ -317,11 +318,11 @@ def check_kms(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> GroupR
     exp_bh = state_phi.family.similarity(state_phi.weights)
     if numerics.frobenius(twist @ exp_bh - exp_bh @ twist) < 1e-12 * numerics.frobenius(exp_bh):
         ham = dyn.hamiltonian(system, spectrum)
-        migrated = twist @ x @ numerics.inverse(twist)
+        migrated = twist @ x @ numerics.inverse(twist)[0]
         ts = (0.0, 0.9, 4.2)
         shifted = km.strip_values(sf_phi, [t + 1j * beta for t in ts])
         r_degenerate = max(
-            abs(f - gb.omega_trace(state_phi, dyn.alpha_phi(ham, t, y) @ migrated))
+            abs(f - gb.omega_trace(state_phi, dyn.evolve(ham, "phi", t, y) @ migrated))
             for t, f in zip(ts, shifted)
         )
         subs.append(SubCheck("degenerate_twist", r_degenerate, tol))

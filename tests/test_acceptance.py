@@ -99,12 +99,12 @@ def test_criterion_04_dynamics(rng):
         ham = dynamics.hamiltonian(inst.system, inst.spectrum)
         x = random_observable(dim, rng)
         for s, t in ((0.7, 0.2), (4.7, 5.3), (9.0, -8.5)):
-            lhs = dynamics.alpha_phi(ham, s + t, x)
-            rhs = dynamics.alpha_phi(ham, s, dynamics.alpha_phi(ham, t, x))
+            lhs = dynamics.evolve(ham, "phi", s + t, x)
+            rhs = dynamics.evolve(ham, "phi", s, dynamics.evolve(ham, "phi", t, x))
             worst_group = max(worst_group, numerics.frobenius(lhs - rhs))
             adj = numerics.frobenius(
-                dynamics.alpha_phi(ham, t, x).conj().T
-                - dynamics.alpha_psi(ham, t, x.conj().T)
+                dynamics.evolve(ham, "phi", t, x).conj().T
+                - dynamics.evolve(ham, "psi", t, x.conj().T)
             )
             worst_adjoint = max(worst_adjoint, adj)
         for which in ("0", "phi", "psi"):
@@ -174,8 +174,8 @@ def test_criterion_07_kms_boundaries(rng):
     ham = dynamics.hamiltonian(osc.system, osc.spectrum)
     textbook = max(
         abs(
-            kms.strip_f(sf, t + 1j * osc.spectrum.beta)
-            - gibbs.omega_trace(state, dynamics.alpha0(ham, t, y) @ x)
+            kms.strip_values(sf, [t + 1j * osc.spectrum.beta])[0]
+            - gibbs.omega_trace(state, dynamics.evolve(ham, "0", t, y) @ x)
         )
         for t in t_grid
     )

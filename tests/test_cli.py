@@ -56,6 +56,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="t_grid"):
             cli.load_config({"model": {"preset": "jordan2"}, "t_grid": ["a"]})
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"seed": True},
+            {"tolerances": {"kms": True}},
+            {"t_grid": [0.0, True]},
+            {"model": {"preset": "shift_half", "N": True}},
+            {"model": {"preset": "shift_half", "N": 8.9}},
+            {"model": {"preset": "shift_half", "beta": "2"}},
+        ],
+        ids=["seed_bool", "tolerance_bool", "t_grid_bool", "preset_n_bool",
+             "preset_n_fraction", "preset_beta_string"],
+    )
+    def test_non_number_exits_3(self, tmp_path, overrides):
+        data = {
+            "model": {"preset": "shift_half", "N": 8},
+            "checks": ["biorthogonality", "kms"],
+            "output_dir": str(tmp_path / "out"),
+        }
+        data.update(overrides)
+        assert cli.main(["verify", "--config", write_config(tmp_path, data)]) == 3
+
     def test_full_model_round_trip(self):
         config = cli.load_config(
             {
@@ -211,6 +233,22 @@ class TestVerifyCommand:
         )
         assert cli.main(["verify", "--config", config]) == 3
         assert "spectrum must be strictly positive" in capsys.readouterr().err
+
+    def test_ill_conditioned_model_exits_3(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            {
+                "model": {
+                    "N": 2,
+                    "beta": 1.0,
+                    "lambda": {"rule": "linear"},
+                    "T": {"rule": "explicit", "values": [[1.0, 0.0], [0.0, 1e-13]]},
+                },
+                "output_dir": str(tmp_path / "out"),
+            },
+        )
+        assert cli.main(["verify", "--config", config]) == 3
+        assert "ill-conditioned" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert cli.main(["verify", "--config", "/nonexistent/x.json"]) == 3

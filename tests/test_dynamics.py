@@ -9,7 +9,7 @@ E01 = np.array([[0, 1], [0, 0]], dtype=complex)
 
 
 def two_level_ham():
-    sys_ = riesz.identity_system(2)
+    sys_ = riesz.build_system(np.eye(2), np.eye(2))
     spec = gibbs.Spectrum(lambdas=np.array([1.0, 2.0]), beta=1.0)
     return dynamics.hamiltonian(sys_, spec)
 
@@ -18,17 +18,17 @@ class TestAlpha0:
     def test_time_zero_is_identity_map(self, rng):
         ham = two_level_ham()
         x = random_observable(2, rng)
-        np.testing.assert_array_equal(dynamics.alpha0(ham, 0.0, x), x)
+        np.testing.assert_array_equal(dynamics.evolve(ham, "0", 0.0, x), x)
 
     def test_hamiltonian_is_fixed(self):
         ham = two_level_ham()
-        assert numerics.frobenius(dynamics.alpha0(ham, 3.7, ham.h0) - ham.h0) <= 1e-14
+        assert numerics.frobenius(dynamics.evolve(ham, "0", 3.7, ham.h0) - ham.h0) <= 1e-14
 
     def test_offdiagonal_phase(self):
         # entry (0,1) picks up e^{it(lambda_0 - lambda_1)} = e^{-it}
         ham = two_level_ham()
         for t in (0.3, 2.0, -5.0):
-            out = dynamics.alpha0(ham, t, E01)
+            out = dynamics.evolve(ham, "0", t, E01)
             assert out[0, 1] == pytest.approx(np.exp(-1j * t), abs=1e-15)
             assert abs(out[1, 0]) <= 1e-15
 
@@ -37,28 +37,29 @@ class TestPropagators:
     def test_time_zero(self):
         inst = instance("shift_half", n=8)
         ham = dynamics.hamiltonian(inst.system, inst.spectrum)
-        np.testing.assert_allclose(dynamics.exp_ith(ham, 0.0), np.eye(8), atol=1e-14)
-        np.testing.assert_allclose(dynamics.exp_ithdag(ham, 0.0), np.eye(8), atol=1e-14)
+        for which in ("phi", "psi"):
+            np.testing.assert_allclose(dynamics.propagator(ham, which, 0.0), np.eye(8), atol=1e-14)
 
     def test_identity_t_matches_spectral_calculus(self):
+        # T = I and F = I: e^{itH} is the closed form diag(e^{it lambda_n})
         ham = two_level_ham()
         t = 1.3
-        via_calculus = numerics.func_of_hermitian(ham.h0, lambda x: np.exp(1j * t * x))
-        assert numerics.frobenius(dynamics.exp_ith(ham, t) - via_calculus) <= 1e-14
+        closed_form = np.diag(np.exp(1j * t * ham.spectrum.lambdas))
+        assert numerics.frobenius(dynamics.propagator(ham, "phi", t) - closed_form) <= 1e-14
 
     def test_adjoint_relation_entrywise(self, jordan2):
         ham = dynamics.hamiltonian(jordan2.system, jordan2.spectrum)
         for t in (0.4, 1.9, -3.2):
-            lhs = dynamics.exp_ith(ham, t).conj().T
-            rhs = dynamics.exp_ithdag(ham, -t)
+            lhs = dynamics.propagator(ham, "phi", t).conj().T
+            rhs = dynamics.propagator(ham, "psi", -t)
             assert np.max(np.abs(lhs - rhs)) <= 1e-13
 
     def test_group_law_of_propagators(self):
         inst = instance("exp_gen", n=10)
         ham = dynamics.hamiltonian(inst.system, inst.spectrum)
         s, t = 0.8, -2.1
-        prod = dynamics.exp_ith(ham, s) @ dynamics.exp_ith(ham, t)
-        assert numerics.frobenius(dynamics.exp_ith(ham, s + t) - prod) <= 1e-12
+        prod = dynamics.propagator(ham, "phi", s) @ dynamics.propagator(ham, "phi", t)
+        assert numerics.frobenius(dynamics.propagator(ham, "phi", s + t) - prod) <= 1e-12
 
     @pytest.mark.parametrize("n", [8, 64])
     def test_matches_dense_similarity_on_random_frame(self, rng, n):
@@ -86,12 +87,12 @@ class TestDeformedEvolutions:
     def test_time_zero(self, rng, jordan2):
         ham = dynamics.hamiltonian(jordan2.system, jordan2.spectrum)
         x = random_observable(2, rng)
-        np.testing.assert_allclose(dynamics.alpha_phi(ham, 0.0, x), x, atol=1e-15)
+        np.testing.assert_allclose(dynamics.evolve(ham, "phi", 0.0, x), x, atol=1e-15)
 
     def test_generator_is_fixed_point(self):
         inst = instance("shift_half", n=8)
         ham = dynamics.hamiltonian(inst.system, inst.spectrum)
-        assert numerics.frobenius(dynamics.alpha_phi(ham, 2.2, ham.h) - ham.h) <= 1e-11
+        assert numerics.frobenius(dynamics.evolve(ham, "phi", 2.2, ham.h) - ham.h) <= 1e-11
 
     def test_two_path_factorization(self, rng):
         # direct conjugation vs the sandwich through the reference evolution
@@ -100,8 +101,8 @@ class TestDeformedEvolutions:
         ham = dynamics.hamiltonian(sys_, inst.spectrum)
         x = random_observable(32, rng)
         t = 1.4
-        direct = dynamics.alpha_phi(ham, t, x)
-        sandwich = sys_.t_op @ dynamics.alpha0(ham, t, sys_.t_inv @ x @ sys_.t_op) @ sys_.t_inv
+        direct = dynamics.evolve(ham, "phi", t, x)
+        sandwich = sys_.t_op @ dynamics.evolve(ham, "0", t, sys_.t_inv @ x @ sys_.t_op) @ sys_.t_inv
         assert numerics.frobenius(direct - sandwich) <= 1e-12
 
     def test_adjoint_exchanges_families(self, rng):
@@ -109,8 +110,8 @@ class TestDeformedEvolutions:
         ham = dynamics.hamiltonian(inst.system, inst.spectrum)
         x = random_observable(12, rng)
         for t in (0.5, -4.0):
-            lhs = dynamics.alpha_phi(ham, t, x).conj().T
-            rhs = dynamics.alpha_psi(ham, t, x.conj().T)
+            lhs = dynamics.evolve(ham, "phi", t, x).conj().T
+            rhs = dynamics.evolve(ham, "psi", t, x.conj().T)
             assert numerics.frobenius(lhs - rhs) <= 1e-12
 
     def test_group_law(self, rng):
@@ -129,8 +130,8 @@ class TestDeformedEvolutions:
         ham = dynamics.hamiltonian(sys_, inst.spectrum)
         x = random_observable(16, rng)
         t = 2.7
-        lhs = dynamics.alpha_phi(ham, t, x) @ sys_.t_op
-        rhs = sys_.t_op @ dynamics.alpha0(ham, t, sys_.t_inv @ x @ sys_.t_op)
+        lhs = dynamics.evolve(ham, "phi", t, x) @ sys_.t_op
+        rhs = sys_.t_op @ dynamics.evolve(ham, "0", t, sys_.t_inv @ x @ sys_.t_op)
         assert numerics.frobenius(lhs - rhs) <= 1e-11 * sys_.cond_t**2
 
     def test_psi_evolution_is_dual_phi(self, rng):
@@ -140,7 +141,7 @@ class TestDeformedEvolutions:
         x = random_observable(10, rng)
         t = 1.1
         assert numerics.frobenius(
-            dynamics.alpha_psi(ham, t, x) - dynamics.alpha_phi(dual_ham, t, x)
+            dynamics.evolve(ham, "psi", t, x) - dynamics.evolve(dual_ham, "phi", t, x)
         ) <= 1e-12
 
 

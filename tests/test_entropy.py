@@ -9,7 +9,7 @@ E1, E2 = np.exp(-1.0), np.exp(-2.0)
 
 
 def two_level_pair(normalize=True):
-    sys_ = riesz.identity_system(2)
+    sys_ = riesz.build_system(np.eye(2), np.eye(2))
     spec = gibbs.Spectrum(lambdas=np.array([1.0, 2.0]), beta=1.0)
     return entropy.build_density(sys_, spec, normalize=normalize)
 
@@ -43,7 +43,7 @@ class TestBuildDensity:
 class TestEntropyStandard:
     def test_maximal_mixing(self):
         # equal energies make rho0 = I/2: S = log 2
-        sys_ = riesz.identity_system(2)
+        sys_ = riesz.build_system(np.eye(2), np.eye(2))
         spec = gibbs.Spectrum(lambdas=np.array([1.0, 1.0]), beta=1.0)
         pair = entropy.build_density(sys_, spec)
         assert entropy.entropy_standard(pair) == pytest.approx(np.log(2.0), abs=1e-14)
@@ -106,7 +106,7 @@ class TestLogSeries:
         assert numerics.frobenius(series - pair.log_rho) <= 1e-12
 
     def test_partial_sums_improve(self):
-        sys_ = riesz.identity_system(3)
+        sys_ = riesz.build_system(np.eye(3), np.eye(3))
         spec = gibbs.Spectrum(lambdas=np.array([0.3, 0.5, 0.9]), beta=1.0)
         pair = entropy.build_density(sys_, spec, normalize=False)
         errs = [

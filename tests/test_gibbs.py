@@ -31,7 +31,7 @@ class TestStandardHamiltonian:
     """H0 = F diag(lambda) F^H is the frame family's similarity of lambda."""
 
     def test_identity_frame_is_diagonal(self):
-        sys_ = riesz.identity_system(2)
+        sys_ = riesz.build_system(np.eye(2), np.eye(2))
         spec = gibbs.Spectrum(lambdas=np.array([1.0, 2.0]), beta=1.0)
         np.testing.assert_array_equal(
             riesz.family(sys_, "f").similarity(spec.lambdas), np.diag([1.0, 2.0])
@@ -56,14 +56,14 @@ class TestStandardHamiltonian:
     def test_dimension_mismatch(self):
         spec = gibbs.Spectrum(lambdas=np.array([1.0]), beta=1.0)
         with pytest.raises(DimensionMismatch):
-            gibbs.gibbs_state(riesz.identity_system(3), spec, "f")
+            gibbs.gibbs_state(riesz.build_system(np.eye(3), np.eye(3)), spec, "f")
         with pytest.raises(DimensionMismatch):
-            dynamics.hamiltonian(riesz.identity_system(3), spec)
+            dynamics.hamiltonian(riesz.build_system(np.eye(3), np.eye(3)), spec)
 
 
 class TestPartitionConstants:
     def test_identity_t_collapses(self):
-        sys_ = riesz.identity_system(2)
+        sys_ = riesz.build_system(np.eye(2), np.eye(2))
         spec = gibbs.Spectrum(lambdas=np.array([1.0, 2.0]), beta=1.0)
         z = gibbs.partition_constants(sys_, spec)
         assert z.z0 == pytest.approx(0.503214724408055, abs=1e-15)
@@ -95,7 +95,7 @@ class TestOmegaEvaluations:
         assert abs(gibbs.omega_trace(state, x) - gibbs.omega_sum(state, x)) <= 1e-13
 
     def test_identity_t_reduces_to_reference(self, rng):
-        sys_ = riesz.identity_system(4)
+        sys_ = riesz.build_system(np.eye(4), np.eye(4))
         spec = gibbs.Spectrum(lambdas=np.arange(1.0, 5.0), beta=0.7)
         state = gibbs.gibbs_state(sys_, spec, "phi")
         boltz = riesz.family(sys_, "f").similarity(spec.weights())
@@ -130,7 +130,7 @@ class TestOmegaEvaluations:
 
 class TestRatioIdentity:
     def test_identity_t_is_exact(self, rng):
-        sys_ = riesz.identity_system(3)
+        sys_ = riesz.build_system(np.eye(3), np.eye(3))
         spec = gibbs.Spectrum(lambdas=np.arange(1.0, 4.0), beta=1.0)
         phi, f = (gibbs.gibbs_state(sys_, spec, k) for k in ("phi", "f"))
         assert gibbs.omega_ratio_residual(phi, f, random_observable(3, rng)) <= 1e-15
@@ -150,7 +150,7 @@ class TestRatioIdentity:
 
 class TestFaithfulness:
     def test_identity_t_minimum(self):
-        sys_ = riesz.identity_system(2)
+        sys_ = riesz.build_system(np.eye(2), np.eye(2))
         spec = gibbs.Spectrum(lambdas=np.array([1.0, 2.0]), beta=1.0)
         witness = gibbs.faithfulness_witness(gibbs.gibbs_state(sys_, spec, "phi"))
         assert witness.min_eigenvalue == pytest.approx(0.2689414213699951, abs=1e-14)

@@ -15,40 +15,36 @@ def strip(system, spectrum, x, y, kind="phi"):
 
 
 def two_level():
-    sys_ = riesz.identity_system(2)
+    sys_ = riesz.build_system(np.eye(2), np.eye(2))
     spec = gibbs.Spectrum(lambdas=np.array([1.0, 2.0]), beta=1.0)
     return sys_, spec
 
 
 class TestComplexTimeConjugation:
     def test_real_z_matches_real_evolution(self, rng):
+        # a complex time on the real axis is the real evolution, here taken
+        # through the reference evolution: T alpha^0_t(T^-1 Y T) T^-1
         inst = instance("shift_half", n=8)
-        ham = dynamics.hamiltonian(inst.system, inst.spectrum)
+        sys_ = inst.system
+        ham = dynamics.hamiltonian(sys_, inst.spectrum)
         y = random_observable(8, rng)
         t = 1.7
-        assert numerics.frobenius(
-            kms.alpha_phi_z(ham, t, y) - dynamics.alpha_phi(ham, t, y)
-        ) <= 1e-12
+        real = sys_.t_op @ dynamics.evolve(ham, "0", t, sys_.t_inv @ y @ sys_.t_op) @ sys_.t_inv
+        assert numerics.frobenius(dynamics.evolve(ham, "phi", complex(t, 0.0), y) - real) <= 1e-12
 
     def test_diagonal_fixed_at_thermal_point(self):
         sys_, spec = two_level()
         ham = dynamics.hamiltonian(sys_, spec)
         y = np.diag([0.4, 0.6]).astype(complex)
-        out = kms.alpha_phi_z(ham, 1j * spec.beta, y)
+        out = dynamics.evolve(ham, "phi", 1j * spec.beta, y)
         np.testing.assert_allclose(out, y, atol=1e-15)
 
     def test_offdiagonal_thermal_scaling(self):
         # e^{izH0} at z = i*beta is e^{-beta H0}: entry (0,1) scales by e^{beta}
         sys_, spec = two_level()
         ham = dynamics.hamiltonian(sys_, spec)
-        out = kms.alpha_phi_z(ham, 1j * spec.beta, E01)
+        out = dynamics.evolve(ham, "phi", 1j * spec.beta, E01)
         assert out[0, 1] == pytest.approx(np.exp(spec.beta), abs=1e-14)
-
-    def test_warns_outside_strip(self):
-        sys_, spec = two_level()
-        ham = dynamics.hamiltonian(sys_, spec)
-        with pytest.warns(UserWarning, match="strip"):
-            kms.alpha_phi_z(ham, -0.5j, E01)
 
 
 class TestStripFunction:
@@ -56,7 +52,8 @@ class TestStripFunction:
         x, y = random_observable(2, rng), random_observable(2, rng)
         state = gibbs.gibbs_state(jordan2.system, jordan2.spectrum, "phi")
         sf = kms.strip_function(state, x, y)
-        assert kms.strip_f(sf, 0.0) == pytest.approx(gibbs.omega_sum(state, x @ y), abs=1e-14)
+        f0 = kms.strip_values(sf, [0.0])[0]
+        assert f0 == pytest.approx(gibbs.omega_sum(state, x @ y), abs=1e-14)
 
     def test_identity_t_reduces_to_reference_two_point(self, rng):
         sys_, spec = two_level()
@@ -66,8 +63,8 @@ class TestStripFunction:
         boltz = riesz.family(sys_, "f").similarity(spec.weights())
         z0 = np.sum(spec.weights())
         for t in (0.0, 0.8, -2.5):
-            direct = np.trace(x @ dynamics.alpha0(ham, t, y) @ boltz) / z0
-            assert kms.strip_f(sf, t) == pytest.approx(complex(direct), abs=1e-14)
+            direct = np.trace(x @ dynamics.evolve(ham, "0", t, y) @ boltz) / z0
+            assert kms.strip_values(sf, [t])[0] == pytest.approx(complex(direct), abs=1e-14)
 
     def test_rejects_unknown_kind(self, jordan2):
         with pytest.raises(ValueError):
@@ -113,7 +110,7 @@ class TestSpectralKernel:
         oracle = np.array([dense_strip_chain(system, spectrum, x, y, kind, z) for z in zs])
         scale = np.max(np.abs(oracle))
         assert np.max(np.abs(values - oracle)) <= 1e-13 * scale
-        assert abs(kms.strip_f(sf, zs[4]) - oracle[4]) <= 1e-13 * scale
+        assert abs(kms.strip_values(sf, [zs[4]])[0] - oracle[4]) <= 1e-13 * scale
 
     def test_boundaries_on_random_frame(self, rng):
         system, spectrum = framed_shift_system(16, rng)
@@ -143,8 +140,8 @@ class TestBoundaryIdentities:
         sf = kms.strip_function(state, x, y)
         ham = dynamics.hamiltonian(inst.system, inst.spectrum)
         for t in (0.0, 0.5, 1.0, -4.0):
-            lhs = kms.strip_f(sf, t + 1j * inst.spectrum.beta)
-            rhs = gibbs.omega_trace(state, dynamics.alpha0(ham, t, y) @ x)
+            lhs = kms.strip_values(sf, [t + 1j * inst.spectrum.beta])[0]
+            rhs = gibbs.omega_trace(state, dynamics.evolve(ham, "0", t, y) @ x)
             assert abs(lhs - rhs) <= 1e-12
 
     def test_untwisted_shifted_boundary_fails(self, rng):
@@ -160,7 +157,7 @@ class TestBoundaryIdentities:
         ts = [0.0, 0.7, -3.0]
         shifted = kms.strip_values(sf, [t + 1j * inst.spectrum.beta for t in ts])
         untwisted = max(
-            abs(f - gibbs.omega_trace(state, dynamics.alpha_phi(ham, t, y) @ x))
+            abs(f - gibbs.omega_trace(state, dynamics.evolve(ham, "phi", t, y) @ x))
             for t, f in zip(ts, shifted)
         )
         assert untwisted > tol
@@ -206,14 +203,14 @@ class TestBoundaryIdentities:
         migrated = twist @ x @ np.linalg.inv(twist)
         tol = kms.kms_tolerance(inst.system.cond_t, 8)
         for t in (0.0, 1.3):
-            lhs = kms.strip_f(sf, t + 1j * inst.spectrum.beta)
-            rhs = gibbs.omega_trace(state, dynamics.alpha_phi(ham, t, y) @ migrated)
+            lhs = kms.strip_values(sf, [t + 1j * inst.spectrum.beta])[0]
+            rhs = gibbs.omega_trace(state, dynamics.evolve(ham, "phi", t, y) @ migrated)
             assert abs(lhs - rhs) <= tol
         x_diag = np.diag(rng.standard_normal(8)).astype(complex)
         sf_diag = kms.strip_function(state, x_diag, y)
         for t in (0.0, 1.3):
-            lhs = kms.strip_f(sf_diag, t + 1j * inst.spectrum.beta)
-            rhs = gibbs.omega_trace(state, dynamics.alpha_phi(ham, t, y) @ x_diag)
+            lhs = kms.strip_values(sf_diag, [t + 1j * inst.spectrum.beta])[0]
+            rhs = gibbs.omega_trace(state, dynamics.evolve(ham, "phi", t, y) @ x_diag)
             assert abs(lhs - rhs) <= tol
 
 

@@ -124,6 +124,25 @@ class TestInstantiate:
         with pytest.raises(BadModel, match="strictly positive"):
             models.instantiate(spec)
 
+    def test_one_condition_number_per_instance(self, monkeypatch):
+        # cond(T) comes from the one SVD that build_system's inverse check takes
+        calls = []
+        original = numerics.cond
+        monkeypatch.setattr(numerics, "cond", lambda a: calls.append(a) or original(a))
+        inst = models.instantiate(models.preset("shift_half", n=16))
+        assert len(calls) == 1
+        assert inst.meta["cond_t"] == inst.system.cond_t == original(inst.system.t_op)
+
+    def test_ill_conditioned_explicit_t_rejected(self):
+        spec = models.ModelSpec(
+            name="bad",
+            n=2,
+            beta=1.0,
+            t_rule={"rule": "explicit", "values": [[1.0, 0.0], [0.0, 1e-13]]},
+        )
+        with pytest.raises(BadModel, match="ill-conditioned"):
+            models.instantiate(spec)
+
     def test_unknown_preset(self):
         with pytest.raises(BadModel):
             models.preset("harmonium")

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rieszgibbs import numerics
-from rieszgibbs.errors import DomainError, NotHermitian, Singular
+from rieszgibbs.errors import NotHermitian, Singular
 
 E1 = np.exp(-1.0)
 E2 = np.exp(-2.0)
@@ -97,42 +97,19 @@ class TestAbsOfAdjoint:
         assert numerics.frobenius(p @ p - gram) <= 1e-10 * numerics.frobenius(a) ** 2
 
 
-class TestFuncOfHermitian:
-    def test_exp_on_diagonal_exact(self):
-        out = numerics.func_of_hermitian(np.diag([1.0, 2.0]).astype(complex), lambda x: np.exp(-x))
-        np.testing.assert_array_equal(out, np.diag([E1, E2]))
-
-    def test_log_on_diagonal_exact(self):
-        out = numerics.func_of_hermitian(np.diag([np.e, np.e**2]).astype(complex), np.log)
-        np.testing.assert_allclose(out, np.diag([1.0, 2.0]), atol=0)
-
-    def test_imaginary_power_is_unitary(self, rng):
-        a = random_hermitian(6, rng)
-        a = a @ a.conj().T + np.eye(6)  # positive definite
-        u = numerics.func_of_hermitian(a, lambda x: x ** (1j * 0.7))
-        assert numerics.frobenius(u.conj().T @ u - np.eye(6)) < 1e-12
-
-    def test_exp_inverse_pair(self, rng):
-        a = random_hermitian(8, rng, scale=0.5)
-        fwd = numerics.func_of_hermitian(a, np.exp)
-        bwd = numerics.func_of_hermitian(a, lambda x: np.exp(-x))
-        assert numerics.frobenius(fwd @ bwd - np.eye(8)) <= 1e-10
-
-    def test_log_domain_error(self):
-        with pytest.raises(DomainError):
-            numerics.func_of_hermitian(np.diag([1.0, -1.0]).astype(complex), np.log)
-        with pytest.raises(DomainError):
-            numerics.func_of_hermitian(np.diag([0.0, 1.0]).astype(complex), np.log)
-
-
 class TestInverseTraceInner:
     def test_inverse_closed_form(self):
         a = np.array([[1, 1], [0, 1]], dtype=complex)
-        np.testing.assert_allclose(numerics.inverse(a), [[1, -1], [0, 1]], atol=1e-15)
+        inv, cond = numerics.inverse(a)
+        np.testing.assert_allclose(inv, [[1, -1], [0, 1]], atol=1e-15)
+        # golden ratio squared: sigma_max / sigma_min of the Jordan block
+        assert cond == pytest.approx((3.0 + np.sqrt(5.0)) / 2.0, rel=1e-14)
 
     def test_inverse_residual(self, rng):
         a = np.eye(12) + 0.3 * (rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
-        assert numerics.frobenius(a @ numerics.inverse(a) - np.eye(12)) <= 1e-12 * numerics.cond(a)
+        inv, cond = numerics.inverse(a)
+        assert cond == numerics.cond(a)
+        assert numerics.frobenius(a @ inv - np.eye(12)) <= 1e-12 * cond
 
     def test_singular_refused(self):
         with pytest.raises(Singular):

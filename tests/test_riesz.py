@@ -12,7 +12,7 @@ from rieszgibbs.models import random_unitary
 
 
 def test_identity_system_is_self_dual():
-    sys_ = riesz.identity_system(4)
+    sys_ = riesz.build_system(np.eye(4), np.eye(4))
     np.testing.assert_array_equal(sys_.phi, np.eye(4))
     np.testing.assert_array_equal(sys_.psi, np.eye(4))
     assert riesz.verify_biorthogonality(sys_) <= 1e-15
@@ -84,7 +84,7 @@ class TestFamily:
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="family kind"):
-            riesz.family(riesz.identity_system(2), "chi")
+            riesz.family(riesz.build_system(np.eye(2), np.eye(2)), "chi")
 
 
 def test_frame_rotation_preserves_biorthogonality(rng):
@@ -124,11 +124,11 @@ class TestNaturalness:
         assert planted.residual > 1e-6 and not planted.passed
 
     def test_identity_frame_is_self_dual(self):
-        sys_ = riesz.identity_system(3)
+        sys_ = riesz.build_system(np.eye(3), np.eye(3))
         assert riesz.check_naturalness(sys_, sys_.frame).is_natural
 
     def test_shape_mismatch(self):
-        sys_ = riesz.identity_system(3)
+        sys_ = riesz.build_system(np.eye(3), np.eye(3))
         with pytest.raises(DimensionMismatch):
             riesz.check_naturalness(sys_, np.eye(4))
 
@@ -147,7 +147,7 @@ class TestBuildErrors:
             riesz.build_system(np.eye(3), np.eye(4))
 
     def test_arrays_are_frozen(self):
-        sys_ = riesz.identity_system(2)
+        sys_ = riesz.build_system(np.eye(2), np.eye(2))
         with pytest.raises(ValueError):
             sys_.phi[0, 0] = 5.0
 
