@@ -86,8 +86,10 @@ def _validate_rule(section: str, rule: Mapping, table: Mapping[str, set[str]]) -
 
 
 def _is_number(value) -> bool:
-    """A JSON number: int or float, never a boolean."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number: int or float, never a boolean, NaN, infinity or an
+    integer beyond double range."""
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return finite and not isinstance(value, bool)
 
 
 def _model_n(n) -> int:
@@ -153,9 +155,7 @@ def load_config(data: Mapping) -> RunConfig:
             raise ConfigError(f"tolerance override {key} must be a positive number")
 
     t_grid = data.get("t_grid", DEFAULT_T_GRID)
-    if not isinstance(t_grid, (list, tuple)) or not all(
-        _is_number(t) and np.isfinite(t) for t in t_grid
-    ):
+    if not isinstance(t_grid, (list, tuple)) or not all(_is_number(t) for t in t_grid):
         raise ConfigError("t_grid must be a list of finite numbers")
     if "t_grid" in data and not t_grid:
         raise ConfigError("t_grid must not be empty")

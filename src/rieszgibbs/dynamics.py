@@ -22,12 +22,19 @@ or "psi":
 The deformed pair are automorphism groups that exchange under the adjoint,
 ``alpha^phi_t(X)^H = alpha^psi_t(X^H)``; individually they do not respect the
 star operation.
+
+Eigenbasis side.  ``spectral_evolution`` takes X~ = F^H C^{-1} X C F once per
+family and observable; then alpha_t(X) = C F (P_t o X~) F^H C^{-1} with
+P_t[j,k] = e^{it(lambda_j - lambda_k)}, an O(N^2) phase table and two products
+per time, and no propagator.  Phases compose exactly there, so an identity
+never compares two eigenbasis forms: each pits one eigenbasis side against
+one dense similarity side ``evolve`` = U_t X U_{-t}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -83,20 +90,50 @@ def generator_of(ham: NonHermitianHamiltonian, which: Evolution) -> CMatrix:
     return {"0": ham.h0, "phi": ham.h, "psi": ham.h_dag}[which]
 
 
-def generator_residual(
-    ham: NonHermitianHamiltonian, which: Evolution, x: CMatrix, t_step: float
-) -> float:
-    """||(alpha_t(X) - X)/t - i[G, X]||_F for the first-order difference quotient.
+class SpectralEvolution(NamedTuple):
+    """alpha_{t_1 + ... + t_m}(X) for real times, in the H0 eigenbasis.
 
-    Shrinks linearly in t_step for smooth X; vanishes (to roundoff) when X
-    commutes with the generator.
+    Called with t_1, ..., t_m it gives C F (P o X~) F^H C^{-1}, where
+    P[j,k] = p_j conj(p_k) and p is the product of the phase vectors
+    e^{i t_m lambda}: ``alpha(s, t)`` is alpha_s(alpha_t(X)) with the phases
+    composed.  Compare it with the dense ``evolve``, never with another
+    eigenbasis form.
     """
-    if t_step <= 0.0:
-        raise ValueError("t_step must be positive")
+
+    x: CMatrix
+    generator: CMatrix
+    vectors: CMatrix  # C F
+    duals_h: CMatrix  # F^H C^{-1}
+    x_tilde: CMatrix  # F^H C^{-1} X C F
+    lambdas: NDArray[np.float64]
+
+    def __call__(self, *ts: float) -> CMatrix:
+        p = np.prod([np.exp(1j * t * self.lambdas) for t in ts], axis=0)
+        return self.vectors @ (np.multiply.outer(p, p.conj()) * self.x_tilde) @ self.duals_h
+
+
+def spectral_evolution(
+    ham: NonHermitianHamiltonian, which: Evolution, x: CMatrix
+) -> SpectralEvolution:
+    """X under the evolution ``which``, with X~ = F^H C^{-1} X C F formed once."""
+    fam = _family(ham, which)
+    d_h = numerics.dagger(fam.duals)
     g = generator_of(ham, which)
-    quotient = (evolve(ham, which, t_step, x) - x) / t_step
+    return SpectralEvolution(x, g, fam.vectors, d_h, d_h @ x @ fam.vectors, ham.spectrum.lambdas)
+
+
+def generator_residuals(alpha: SpectralEvolution, t_steps: Sequence[float]) -> list[float]:
+    """||(alpha_t(X) - X)/t - i[G, X]||_F at each step t, with alpha_t(X) the
+    eigenbasis side and G the dense generator.
+
+    Shrinks linearly in t for smooth X; vanishes (to roundoff) when X commutes
+    with the generator.
+    """
+    if min(t_steps) <= 0.0:
+        raise ValueError("t_step must be positive")
+    g, x = alpha.generator, alpha.x
     commutator = 1j * (g @ x - x @ g)
-    return numerics.frobenius(quotient - commutator)
+    return [numerics.frobenius((alpha(t) - x) / t - commutator) for t in t_steps]
 
 
 def spectrum_residual(ham: NonHermitianHamiltonian) -> float:

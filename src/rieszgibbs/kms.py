@@ -27,11 +27,14 @@ The Boltzmann factor is merged into the phase exponents before ``exp``, so
 inside the strip |u_j|, |v_k| <= 1 and nothing leaves double range.
 
 Dense oracle.  The boundary right-hand sides take an independent route:
-alpha_t(Y) is built densely from the similarity propagators C e^{+-itH0}
-C^{-1}, and both states are traces against factors formed once,
-omega(X E) = tr(K_real E)/Z and omega(M^{-1} E M X) = tr(K_shift E)/Z, each
-O(N^2) as sum(K * E^T).  A boundary residual therefore always compares two
-different evaluations of the same number.
+alpha_t(Y) is built densely from the similarity propagators
+U_{+-t} = C e^{+-itH0} C^{-1}, and both states are traces against factors
+formed once, omega(X E) = tr(K_real E)/Z and omega(M^{-1} E M X) =
+tr(K_shift E)/Z, each O(N^2) as sum(K * E^T).  One propagator pair serves a
+grid point and its mirror: alpha_t(Y) = U_t Y U_{-t} and alpha_{-t}(Y) =
+U_{-t} Y U_t, three dense products per row where a symmetric grid pairs its
+points.  A boundary residual therefore always compares two different
+evaluations of the same number.
 """
 
 from __future__ import annotations
@@ -69,10 +72,8 @@ class StripFunction:
     c_inv: CMatrix = field(repr=False)
     # G_jk = A~_jk B~_kj
     kernel: CMatrix = field(repr=False)
-    # K_real = C e^{-beta H0} C^H X,  K_shift = M X C e^{-beta H0} C^{-1}
-    # (= M X C e^{-beta H0} C^H M^{-1}, with M^{-1} = (C^H)^{-1} C^{-1} cancelled)
-    k_real: CMatrix = field(repr=False)
-    k_shift: CMatrix = field(repr=False)
+    # the state's Boltzmann weights, for the dense oracle's trace factors
+    weights: NDArray[np.float64] = field(repr=False)
 
     @property
     def beta(self) -> float:
@@ -89,7 +90,6 @@ def strip_function(state: GibbsState, x: CMatrix, y: CMatrix) -> StripFunction:
     cf_h = numerics.dagger(cf)
     a_tilde = cf_h @ x @ cf
     b_tilde = cf_inv @ y @ cf
-    boltz_c = cf * state.weights
     return StripFunction(
         x=x,
         y=y,
@@ -98,8 +98,7 @@ def strip_function(state: GibbsState, x: CMatrix, y: CMatrix) -> StripFunction:
         c_op=cf,
         c_inv=cf_inv,
         kernel=a_tilde * b_tilde.T,
-        k_real=(boltz_c @ cf_h) @ x,
-        k_shift=(cf @ cf_h) @ x @ (boltz_c @ cf_inv),
+        weights=state.weights,
     )
 
 
@@ -123,12 +122,18 @@ def strip_values(sf: StripFunction, zs: ArrayLike) -> NDArray[np.complex128]:
     return ((u @ sf.kernel) * v).sum(axis=1) / sf.partition
 
 
-def _evolved_y(sf: StripFunction, t: float) -> CMatrix:
-    """alpha_t(Y) = U_t Y U_{-t}, with U_{+-t} = C e^{+-itH0} C^{-1} built densely."""
+def _propagator_pair(sf: StripFunction, t: float) -> tuple[CMatrix, CMatrix]:
+    """U_t and U_{-t}, with U_{+-t} = C e^{+-itH0} C^{-1} built densely."""
     phases = np.exp(1j * t * sf.spectrum.lambdas)
-    u_fwd = (sf.c_op * phases) @ sf.c_inv
-    u_bwd = (sf.c_op * phases.conj()) @ sf.c_inv
-    return u_fwd @ sf.y @ u_bwd
+    return (sf.c_op * phases) @ sf.c_inv, (sf.c_op * phases.conj()) @ sf.c_inv
+
+
+def _trace_factors(sf: StripFunction) -> tuple[CMatrix, CMatrix]:
+    """K_real = C e^{-beta H0} C^H X and K_shift = M X C e^{-beta H0} C^{-1}
+    (= M X C e^{-beta H0} C^H M^{-1}, with M^{-1} = (C^H)^{-1} C^{-1} cancelled)."""
+    cf_h = numerics.dagger(sf.c_op)
+    boltz_c = sf.c_op * sf.weights
+    return (boltz_c @ cf_h) @ sf.x, (sf.c_op @ cf_h) @ sf.x @ (boltz_c @ sf.c_inv)
 
 
 class KmsRow(NamedTuple):
@@ -146,24 +151,32 @@ def verification_rows(sf: StripFunction, t_grid: Sequence[float]) -> list[KmsRow
     """f(t) and both boundary residuals at each real grid point.
 
     The strip values on both boundaries come from one ``strip_values`` call;
-    the right-hand sides from the dense oracle, with alpha_t(Y) built once per t.
+    the right-hand sides from the dense oracle.  Where the grid holds t and
+    -t, one propagator pair U_{+-t} gives both alpha_t(Y) = U_t Y U_{-t} and
+    alpha_{-t}(Y) = U_{-t} Y U_t, and only the mirror row's two traces are
+    kept; one pair is live at a time, and a repeated point is evaluated once.
     """
     ts = np.asarray(t_grid, dtype=float).reshape(-1)
     values = strip_values(sf, np.concatenate([ts, ts + 1j * sf.beta]))
+    k_real, k_shift = _trace_factors(sf)
+
+    def boundary_rhs(evolved: CMatrix) -> list[complex]:
+        return [np.sum(k * evolved.T) / sf.partition for k in (k_real, k_shift)]
+
+    points = ts.tolist()
+    grid = set(points)
+    rhs: dict[float, list[complex]] = {}
+    for t in points:
+        if t not in rhs:
+            u_fwd, u_bwd = _propagator_pair(sf, t)
+            rhs[t] = boundary_rhs(u_fwd @ sf.y @ u_bwd)
+            if t and -t in grid:
+                rhs[-t] = boundary_rhs(u_bwd @ sf.y @ u_fwd)
     rows = []
-    for t, f_real, f_shift in zip(ts, values[: ts.size], values[ts.size :]):
-        evolved_t = _evolved_y(sf, float(t)).T
-        rhs_real = np.sum(sf.k_real * evolved_t) / sf.partition
-        rhs_shift = np.sum(sf.k_shift * evolved_t) / sf.partition
-        rows.append(
-            KmsRow(
-                t=float(t),
-                f_real=float(f_real.real),
-                f_imag=float(f_real.imag),
-                res_real_boundary=float(abs(f_real - rhs_real)),
-                res_shifted_boundary=float(abs(f_shift - rhs_shift)),
-            )
-        )
+    for t, f, f_shift in zip(points, values[: ts.size], values[ts.size :]):
+        rhs_real, rhs_shift = rhs[t]
+        res = float(abs(f - rhs_real)), float(abs(f_shift - rhs_shift))
+        rows.append(KmsRow(t, float(f.real), float(f.imag), *res))
     return rows
 
 

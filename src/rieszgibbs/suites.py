@@ -167,27 +167,19 @@ def check_dynamics(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> G
     x = models.random_observable(n, rng)
     pairs = [(0.3, 0.9), (-2.0, 5.5), (4.0, -7.5)]
 
+    # each identity: one eigenbasis side (spectral_evolution) against one dense
+    # similarity side (evolve); X~ is formed once per family and observable
+    spectral = {which: dyn.spectral_evolution(ham, which, x) for which in ("0", "phi", "psi")}
+    psi_of_adjoint = dyn.spectral_evolution(ham, "psi", numerics.dagger(x))
+    pulled = dyn.spectral_evolution(ham, "0", system.t_inv @ x @ system.t_op)
     r_group = r_adjoint = r_inter = 0.0
     for s, t in pairs:
-        for which in ("0", "phi", "psi"):
-            both = dyn.evolve(ham, which, s + t, x)
-            nested = dyn.evolve(ham, which, s, dyn.evolve(ham, which, t, x))
-            r_group = max(r_group, numerics.frobenius(both - nested))
-        r_adjoint = max(
-            r_adjoint,
-            numerics.frobenius(
-                numerics.dagger(dyn.evolve(ham, "phi", t, x))
-                - dyn.evolve(ham, "psi", t, numerics.dagger(x))
-            ),
-        )
-        pulled = system.t_inv @ x @ system.t_op
-        r_inter = max(
-            r_inter,
-            numerics.frobenius(
-                dyn.evolve(ham, "phi", t, x) @ system.t_op
-                - system.t_op @ dyn.evolve(ham, "0", t, pulled)
-            ),
-        )
+        for which, alpha in spectral.items():
+            err = numerics.frobenius(dyn.evolve(ham, which, s + t, x) - alpha(s, t))
+            r_group = max(r_group, err)
+        dense = dyn.evolve(ham, "phi", t, x)
+        r_adjoint = max(r_adjoint, numerics.frobenius(numerics.dagger(dense) - psi_of_adjoint(t)))
+        r_inter = max(r_inter, numerics.frobenius(dense @ system.t_op - system.t_op @ pulled(t)))
     t_probe = 1.5
     r_prop = numerics.frobenius(
         numerics.dagger(dyn.propagator(ham, "phi", t_probe))
@@ -195,19 +187,17 @@ def check_dynamics(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> G
     )
 
     r_halving = 0.0
-    for which in ("0", "phi", "psi"):
-        r1 = dyn.generator_residual(ham, which, x, 1e-3)
-        r2 = dyn.generator_residual(ham, which, x, 5e-4)
+    for alpha in spectral.values():
+        r1, r2 = dyn.generator_residuals(alpha, (1e-3, 5e-4))
         r_halving = max(r_halving, abs(r2 / r1 - 0.5))
     r_commuting = max(
-        dyn.generator_residual(ham, which, dyn.generator_of(ham, which), 1.0)
+        dyn.generator_residuals(
+            dyn.spectral_evolution(ham, which, dyn.generator_of(ham, which)), (1.0,)
+        )[0]
         for which in ("0", "phi", "psi")
     )
     t_cont = 1e-8
-    r_continuity = max(
-        numerics.frobenius(dyn.evolve(ham, which, t_cont, x) - x)
-        for which in ("0", "phi", "psi")
-    )
+    r_continuity = max(numerics.frobenius(alpha(t_cont) - x) for alpha in spectral.values())
     cont_tol = 4.0 * t_cont * lam_max * max(cond_t, 1.0) ** 2 + 1e-12
 
     subs = [

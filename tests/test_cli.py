@@ -78,6 +78,41 @@ class TestConfigValidation:
         data.update(overrides)
         assert cli.main(["verify", "--config", write_config(tmp_path, data)]) == 3
 
+    CUSTOM_MODEL = {
+        "N": 4,
+        "lambda": {"rule": "linear"},
+        "T": {"rule": "shift_perturbed", "epsilon": 0.5},
+    }
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"tolerances": {"kms": float("inf")}},
+            {"tolerances": {"kms": float("-inf")}},
+            {"tolerances": {"kms": float("nan")}},
+            {"model": {"preset": "shift_half", "N": 8, "beta": float("inf")}},
+            {"model": {"preset": "shift_half", "N": 8, "beta": float("-inf")}},
+            {"model": {**CUSTOM_MODEL, "beta": float("inf")}},
+            {"model": {**CUSTOM_MODEL, "beta": float("-inf")}},
+            {"model": {**CUSTOM_MODEL, "beta": 10**400}},
+            {"t_grid": [0.0, float("inf")]},
+            {"t_grid": [float("-inf"), 1.0]},
+        ],
+        ids=["tolerance_inf", "tolerance_neg_inf", "tolerance_nan", "preset_beta_inf",
+             "preset_beta_neg_inf", "custom_beta_inf", "custom_beta_neg_inf",
+             "custom_beta_huge_int", "t_grid_inf", "t_grid_neg_inf"],
+    )
+    def test_non_finite_exits_3(self, tmp_path, overrides):
+        # json writes Infinity/NaN literals, which json.load parses back
+        data = {
+            "model": {"preset": "shift_half", "N": 8},
+            "checks": ["biorthogonality", "kms"],
+            "output_dir": str(tmp_path / "out"),
+        }
+        data.update(overrides)
+        assert cli.main(["verify", "--config", write_config(tmp_path, data)]) == 3
+        assert not (tmp_path / "out").exists()
+
     def test_full_model_round_trip(self):
         config = cli.load_config(
             {

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import instance
-from rieszgibbs import dynamics, gibbs, models, numerics, riesz
+from rieszgibbs import dynamics, gibbs, models, numerics, riesz, suites
 from rieszgibbs.models import random_observable
 
 E01 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -83,6 +85,22 @@ class TestPropagators:
                 assert err <= 1e-14 * system.cond_t * numerics.frobenius(dense)
 
 
+class TestSpectralEvolution:
+    @pytest.mark.parametrize("which", ["0", "phi", "psi"])
+    def test_matches_dense_evolution_on_random_frame(self, rng, which):
+        frame = models.random_unitary(16, rng)
+        t_op = models.build_t({"rule": "shift_perturbed", "epsilon": 0.5}, 16)
+        system = riesz.build_system(frame, t_op)
+        spectrum = gibbs.Spectrum(lambdas=1.0 + np.arange(16), beta=1.0)
+        ham = dynamics.hamiltonian(system, spectrum)
+        x = random_observable(16, rng)
+        alpha = dynamics.spectral_evolution(ham, which, x)
+        for ts in ((1.3,), (0.4, -2.2), (5.0, 2.5, -0.5)):
+            dense = dynamics.evolve(ham, which, sum(ts), x)
+            err = numerics.frobenius(alpha(*ts) - dense)
+            assert err <= 1e-14 * system.cond_t**2 * numerics.frobenius(dense)
+
+
 class TestDeformedEvolutions:
     def test_time_zero(self, rng, jordan2):
         ham = dynamics.hamiltonian(jordan2.system, jordan2.spectrum)
@@ -157,26 +175,28 @@ class TestGenerators:
         ham = dynamics.hamiltonian(inst.system, inst.spectrum)
         for which in ("0", "phi", "psi"):
             g = dynamics.generator_of(ham, which)
-            assert dynamics.generator_residual(ham, which, g, 1.0) <= 1e-10
+            assert dynamics.generator_residuals(dynamics.spectral_evolution(ham, which, g), (1.0,))[0] <= 1e-10
 
     def test_linear_shrinkage(self, rng):
         inst = instance("shift_half", n=8)
         ham = dynamics.hamiltonian(inst.system, inst.spectrum)
         x = random_observable(8, rng)
         for which in ("0", "phi", "psi"):
-            r1 = dynamics.generator_residual(ham, which, x, 1e-3)
-            r2 = dynamics.generator_residual(ham, which, x, 5e-4)
+            r1, r2 = dynamics.generator_residuals(
+                dynamics.spectral_evolution(ham, which, x), (1e-3, 5e-4)
+            )
             assert 0.4 <= r2 / r1 <= 0.6
 
     def test_scalar_phase_taylor_bound(self):
         ham = two_level_ham()
-        for t in (1e-2, 1e-3, 1e-4):
-            assert dynamics.generator_residual(ham, "0", E01, t) <= t * numerics.frobenius(E01)
+        steps = (1e-2, 1e-3, 1e-4)
+        for t, r in zip(steps, dynamics.generator_residuals(dynamics.spectral_evolution(ham, "0", E01), steps)):
+            assert r <= t * numerics.frobenius(E01)
 
     def test_rejects_nonpositive_step(self):
         ham = two_level_ham()
         with pytest.raises(ValueError):
-            dynamics.generator_residual(ham, "0", E01, 0.0)
+            dynamics.generator_residuals(dynamics.spectral_evolution(ham, "0", E01), (1e-3, 0.0))
 
 
 class TestSpectralData:
@@ -199,3 +219,63 @@ class TestSpectralData:
         ham = dynamics.hamiltonian(inst.system, inst.spectrum)
         defect = numerics.frobenius(ham.h_dag - ham.h.conj().T)
         assert defect <= 1e-12 * numerics.frobenius(ham.h)
+
+
+# Planted defects for the dynamics sub-checks that pit an eigenbasis side
+# (spectral_evolution) against a dense similarity side.  Each defect takes a
+# clean instance and returns the instance to run; one that acts on code rather
+# than data patches it through ``monkeypatch``.
+
+
+def perturbed_psi_column(inst, monkeypatch):
+    """psi_3 moved by 1e-3 psi_5, off biorthogonality; T and phi stay."""
+    psi = inst.system.psi.copy()
+    psi[:, 3] += 1e-3 * psi[:, 5]
+    return inst._replace(system=replace(inst.system, psi=psi))
+
+
+def wrong_eigenbasis_phase(inst, monkeypatch):
+    """The eigenbasis side evolves with lambda_0 + 0.1; the dense side keeps lambda_0."""
+    real = dynamics.spectral_evolution
+
+    def shifted(ham, which, x):
+        alpha = real(ham, which, x)
+        lambdas = alpha.lambdas.copy()
+        lambdas[0] += 0.1
+        return alpha._replace(lambdas=lambdas)
+
+    monkeypatch.setattr(dynamics, "spectral_evolution", shifted)
+    return inst
+
+
+def perturbed_pullback_t(inst, monkeypatch):
+    """T_{0,N-1} moved by 1e-3 where the intertwining pulls X back (T^-1 X T and
+    the outer T factors); the phi and psi families keep the true T."""
+    t_op = inst.system.t_op.copy()
+    t_op[0, -1] += 1e-3
+    return inst._replace(system=replace(inst.system, t_op=t_op))
+
+
+#: sub-check name -> planted defects, each of which must turn it to FAIL.  The
+#: group law and the adjoint pairing hold for any biorthogonal-looking columns,
+#: so only a wrong eigenbasis phase reaches them.
+PLANTED_DYNAMICS = {
+    "group_law": (wrong_eigenbasis_phase,),
+    "adjoint_pairing": (wrong_eigenbasis_phase,),
+    "intertwining": (perturbed_pullback_t, perturbed_psi_column, wrong_eigenbasis_phase),
+    "generator_halving": (perturbed_psi_column, wrong_eigenbasis_phase),
+}
+
+
+@pytest.mark.parametrize(
+    "name,defect",
+    [(name, defect) for name, defects in PLANTED_DYNAMICS.items() for defect in defects],
+    ids=lambda v: v if isinstance(v, str) else v.__name__,
+)
+def test_planted_defect_fails_the_subcheck(name, defect, monkeypatch):
+    inst = instance("shift_half", n=16)
+    clean = {s.name: s for s in suites.check_dynamics(inst, 0, ()).subchecks}
+    assert clean[name].passed
+    planted = defect(inst, monkeypatch)
+    result = {s.name: s for s in suites.check_dynamics(planted, 0, ()).subchecks}
+    assert not result[name].passed

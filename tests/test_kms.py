@@ -1,10 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import instance
-from rieszgibbs import dynamics, gibbs, kms, models, numerics, riesz
+from rieszgibbs import dynamics, gibbs, kms, models, numerics, riesz, suites
 from rieszgibbs.models import random_observable
 
 E01 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -264,3 +265,94 @@ def test_verification_rows_structure(jordan2):
     assert len(rows) == 2 and rows[0].t == 0.0
     assert all(r.res_real_boundary <= 1e-12 for r in rows)
     assert kms.KMS_COLUMNS == ("t", "f_real", "f_imag", "res_real_boundary", "res_shifted_boundary")
+
+
+def fresh_oracle_rows(sf, t_grid):
+    """Per-t dense reference: U_t and U_{-t} built fresh at every grid point,
+    alpha_t(Y) = U_t Y U_{-t}, and both boundary residuals from the trace factors."""
+    lam = sf.spectrum.lambdas
+    cf_h = sf.c_op.conj().T
+    boltz_c = sf.c_op * sf.weights
+    k_real = (boltz_c @ cf_h) @ sf.x
+    k_shift = (sf.c_op @ cf_h) @ sf.x @ (boltz_c @ sf.c_inv)
+    ts = np.asarray(t_grid, dtype=float)
+    values = kms.strip_values(sf, np.concatenate([ts, ts + 1j * sf.beta]))
+    rows = []
+    for t, f_real, f_shift in zip(ts.tolist(), values[: ts.size], values[ts.size :]):
+        u_fwd = (sf.c_op * np.exp(1j * t * lam)) @ sf.c_inv
+        u_bwd = (sf.c_op * np.exp(1j * -t * lam)) @ sf.c_inv
+        evolved = (u_fwd @ sf.y @ u_bwd).T
+        rhs_real = np.sum(k_real * evolved) / sf.partition
+        rhs_shift = np.sum(k_shift * evolved) / sf.partition
+        rows.append(
+            (t, float(f_real.real), float(f_real.imag),
+             float(abs(f_real - rhs_real)), float(abs(f_shift - rhs_shift)))
+        )
+    return rows
+
+
+DEFAULT_GRID = tuple(np.linspace(-10.0, 10.0, 41).tolist())
+
+
+class TestDenseOracle:
+    """``verification_rows`` forms one propagator pair per mirror pair t, -t;
+    every row must equal the per-t dense reference."""
+
+    GRIDS = {
+        "default_symmetric": DEFAULT_GRID,
+        "asymmetric": (-3.0, 0.7, 2.5, 9.0, -0.25),
+        "repeated": (1.5, -1.5, 1.5, 0.2, -1.5),
+        "signed_zeros": (0.0, -0.0, 2.0, -2.0),
+        "single_point": (2.5,),
+    }
+
+    @pytest.mark.parametrize("kind", ["phi", "psi"])
+    @pytest.mark.parametrize("grid", list(GRIDS), ids=list(GRIDS))
+    def test_matches_fresh_per_t_reference(self, rng, kind, grid):
+        system, spectrum = framed_shift_system(16, rng)
+        x, y = random_observable(16, rng), random_observable(16, rng)
+        sf = strip(system, spectrum, x, y, kind=kind)
+        t_grid = self.GRIDS[grid]
+        rows = kms.verification_rows(sf, t_grid)
+        assert [tuple(r) for r in rows] == fresh_oracle_rows(sf, t_grid)
+        # a signed zero keeps its sign in the t column
+        assert [np.signbit(r.t) for r in rows] == [np.signbit(t) for t in t_grid]
+
+    def test_mirror_pair_forms_its_propagators_once(self, rng, monkeypatch):
+        system, spectrum = framed_shift_system(8, rng)
+        sf = strip(system, spectrum, random_observable(8, rng), random_observable(8, rng))
+        formed = []
+        pair = kms._propagator_pair
+
+        def counting(sf_, t):
+            formed.append(t)
+            return pair(sf_, t)
+
+        monkeypatch.setattr(kms, "_propagator_pair", counting)
+        kms.verification_rows(sf, DEFAULT_GRID)
+        # 20 mirror pairs and t = 0
+        assert len(formed) == 21
+        assert len({abs(t) for t in formed}) == len(formed)
+        formed.clear()
+        kms.verification_rows(sf, (-2.0, 0.5, 2.0, -0.5, 2.0, 0.0, -0.0))
+        assert sorted(abs(t) for t in formed) == [0.0, 0.5, 2.0]
+
+
+def test_kms_peak_memory_does_not_grow_with_the_grid():
+    # one propagator pair is live at a time: quadrupling the grid may grow the
+    # traced peak of one check_kms by the strip grid's O(M N) phase arrays and
+    # a few N x N arrays, never by a propagator per grid point (2 N^2 each)
+    inst = instance("shift_half", n=64)
+    n_squared_array = 64 * 64 * 16
+
+    def traced_peak(points):
+        grid = tuple(np.linspace(-10.0, 10.0, points).tolist())
+        tracemalloc.start()
+        try:
+            suites.check_kms(inst, 0, grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    growth = traced_peak(161) - traced_peak(41)
+    assert growth <= 8 * n_squared_array
