@@ -43,14 +43,14 @@ print(f"group law: ||alpha_(s+t) - alpha_s(alpha_t)||_F = {np.linalg.norm(lhs - 
 adj = np.linalg.norm(evolve(ham, "phi", t, x).conj().T - evolve(ham, "psi", t, x.conj().T))
 print(f"adjoint exchange: ||alpha^phi_t(X)* - alpha^psi_t(X*)||_F = {adj:.3e}")
 
-sandwich = system.t_op @ evolve(ham, "0", t, system.t_inv @ x @ system.t_op) @ system.t_inv
+sandwich = system.t_op @ evolve(ham, "f", t, system.t_inv @ x @ system.t_op) @ system.t_inv
 print(f"factorization through alpha^0: {np.linalg.norm(evolve(ham, 'phi', t, x) - sandwich):.3e}")
 
 print("\nfirst-order difference quotient converges to i[G, X] (residual ~ t):")
 print(f"{'t_step':>10s} {'alpha^0':>12s} {'alpha^phi':>12s} {'alpha^psi':>12s}")
 steps = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 columns = [
-    generator_residuals(spectral_evolution(ham, which, x), steps) for which in ("0", "phi", "psi")
+    generator_residuals(spectral_evolution(ham, which, x), steps) for which in ("f", "phi", "psi")
 ]
 for t_step, row in zip(steps, zip(*columns)):
     print(f"{t_step:10.2e} {row[0]:12.4e} {row[1]:12.4e} {row[2]:12.4e}")

@@ -70,6 +70,6 @@ iden = instantiate(preset("oscillator", n=6))
 ham_i = hamiltonian(iden.system, iden.spectrum)
 md_i = modular_data(omega_vector(gibbs_state(iden.system, iden.spectrum, "phi")))
 x6 = random_observable(6, rng)
-evolved = evolve(ham_i, "0", -iden.spectrum.beta * 0.9, x6)
+evolved = evolve(ham_i, "f", -iden.spectrum.beta * 0.9, x6)
 dev = np.linalg.norm(modular_flow(md_i, 0.9, x6) - evolved)
 print(f"  ||sigma_t(X) - alpha^0_(-beta t)(X)||_F = {dev:.3e}")

@@ -12,8 +12,8 @@ never through a general dense matrix exponential: each is the spectral sum
 C e^{itH0} C^{-1} = sum_n e^{it lambda_n} v_n d_n^H over the biorthogonal
 columns of its family (``riesz.family``; the frame family for H0, the phi
 family for H, the psi family for H^dag).  Three one-parameter groups act on
-observables, each as ``evolve(ham, which, t, X)`` with ``which`` = "0", "phi"
-or "psi":
+observables, each as ``evolve(ham, which, t, X)`` with ``which`` the family
+kind "f", "phi" or "psi":
 
     alpha^0_t(X)   = e^{itH0} X e^{-itH0}          (a *-automorphism group)
     alpha^phi_t(X) = e^{itH}  X e^{-itH}
@@ -24,7 +24,8 @@ The deformed pair are automorphism groups that exchange under the adjoint,
 star operation.
 
 Eigenbasis side.  ``spectral_evolution`` takes X~ = F^H C^{-1} X C F once per
-family and observable; then alpha_t(X) = C F (P_t o X~) F^H C^{-1} with
+family and observable, with C F and F^H C^{-1} read from the system's cached
+family; then alpha_t(X) = C F (P_t o X~) F^H C^{-1} with
 P_t[j,k] = e^{it(lambda_j - lambda_k)}, an O(N^2) phase table and two products
 per time, and no propagator.  Phases compose exactly there, so an identity
 never compares two eigenbasis forms: each pits one eigenbasis side against
@@ -34,7 +35,7 @@ one dense similarity side ``evolve`` = U_t X U_{-t}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -42,9 +43,7 @@ from numpy.typing import NDArray
 from . import numerics
 from .gibbs import Spectrum, check_dims
 from .numerics import CMatrix
-from .riesz import Family, RieszSystem, family
-
-Evolution = Literal["0", "phi", "psi"]
+from .riesz import Family, FamilyKind, RieszSystem, family
 
 
 @dataclass(frozen=True)
@@ -70,24 +69,19 @@ def hamiltonian(system: RieszSystem, spectrum: Spectrum) -> NonHermitianHamilton
     )
 
 
-def _family(ham: NonHermitianHamiltonian, which: Evolution) -> Family:
-    # the reference evolution "0" is carried by the frame family
-    return family(ham.system, "f" if which == "0" else which)
-
-
-def propagator(ham: NonHermitianHamiltonian, which: Evolution, t: complex) -> CMatrix:
+def propagator(ham: NonHermitianHamiltonian, which: FamilyKind, t: complex) -> CMatrix:
     """U_t = C e^{itH0} C^{-1} of one evolution, for real or complex t."""
-    return _family(ham, which).similarity(np.exp(1j * t * ham.spectrum.lambdas))
+    return family(ham.system, which).similarity(np.exp(1j * t * ham.spectrum.lambdas))
 
 
-def evolve(ham: NonHermitianHamiltonian, which: Evolution, t: complex, x: CMatrix) -> CMatrix:
+def evolve(ham: NonHermitianHamiltonian, which: FamilyKind, t: complex, x: CMatrix) -> CMatrix:
     """U_t X U_{-t} with the propagator of ``which``."""
     return propagator(ham, which, t) @ x @ propagator(ham, which, -t)
 
 
-def generator_of(ham: NonHermitianHamiltonian, which: Evolution) -> CMatrix:
+def generator_of(ham: NonHermitianHamiltonian, which: FamilyKind) -> CMatrix:
     """C H0 C^{-1}: H0, H or H^dag, as ``hamiltonian`` stored them."""
-    return {"0": ham.h0, "phi": ham.h, "psi": ham.h_dag}[which]
+    return {"f": ham.h0, "phi": ham.h, "psi": ham.h_dag}[which]
 
 
 class SpectralEvolution(NamedTuple):
@@ -102,24 +96,23 @@ class SpectralEvolution(NamedTuple):
 
     x: CMatrix
     generator: CMatrix
-    vectors: CMatrix  # C F
-    duals_h: CMatrix  # F^H C^{-1}
+    family: Family
     x_tilde: CMatrix  # F^H C^{-1} X C F
     lambdas: NDArray[np.float64]
 
     def __call__(self, *ts: float) -> CMatrix:
         p = np.prod([np.exp(1j * t * self.lambdas) for t in ts], axis=0)
-        return self.vectors @ (np.multiply.outer(p, p.conj()) * self.x_tilde) @ self.duals_h
+        fam = self.family
+        return fam.vectors @ (np.multiply.outer(p, p.conj()) * self.x_tilde) @ fam.duals_h
 
 
 def spectral_evolution(
-    ham: NonHermitianHamiltonian, which: Evolution, x: CMatrix
+    ham: NonHermitianHamiltonian, which: FamilyKind, x: CMatrix
 ) -> SpectralEvolution:
     """X under the evolution ``which``, with X~ = F^H C^{-1} X C F formed once."""
-    fam = _family(ham, which)
-    d_h = numerics.dagger(fam.duals)
-    g = generator_of(ham, which)
-    return SpectralEvolution(x, g, fam.vectors, d_h, d_h @ x @ fam.vectors, ham.spectrum.lambdas)
+    fam = family(ham.system, which)
+    x_tilde = fam.duals_h @ x @ fam.vectors
+    return SpectralEvolution(x, generator_of(ham, which), fam, x_tilde, ham.spectrum.lambdas)
 
 
 def generator_residuals(alpha: SpectralEvolution, t_steps: Sequence[float]) -> list[float]:

@@ -89,16 +89,18 @@ class PartitionConstants(NamedTuple):
     z_psi: float
 
 
-def family_partition(fam: Family, spectrum: Spectrum) -> float:
-    """Z = sum_n e^{-beta lambda_n} ||C f_n||^2, the normalizer of the family's state."""
-    return float(np.sum(spectrum.weights() * np.sum(np.abs(fam.vectors) ** 2, axis=0)))
+def family_partition(vectors: CMatrix, spectrum: Spectrum) -> float:
+    """Z = sum_n e^{-beta lambda_n} ||v_n||^2 over a family's columns v_n = C f_n,
+    the normalizer of the family's state."""
+    return float(np.sum(spectrum.weights() * np.sum(np.abs(vectors) ** 2, axis=0)))
 
 
 def partition_constants(system: RieszSystem, spectrum: Spectrum) -> PartitionConstants:
-    """Z0 = sum e^{-beta lambda_n} ||f_n||^2 (= sum e^{-beta lambda_n}), Zphi and Zpsi."""
+    """Z0 = sum e^{-beta lambda_n} ||f_n||^2 (= sum e^{-beta lambda_n}), Zphi and Zpsi,
+    read off the system's column sets without forming a family."""
     check_dims(system, spectrum)
     return PartitionConstants(
-        *(family_partition(family(system, k), spectrum) for k in ("f", "phi", "psi"))
+        *(family_partition(v, spectrum) for v in (system.frame, system.phi, system.psi))
     )
 
 
@@ -108,11 +110,11 @@ class GibbsState:
 
     ``gibbs_state`` is the only place that forms this data; strip functions,
     Omega vectors and the ratio/density residuals read it from here.  The
-    route densities and the half factor are formed on first use and cached,
-    so a state that never evaluates a route never pays for it.
+    route densities, the half factor, e^{-beta H} and the twist are formed on
+    first use and cached, so a state that never evaluates a route never pays
+    for it.
     """
 
-    kind: FamilyKind
     partition: float
     family: Family = field(repr=False)
     spectrum: Spectrum = field(repr=False)
@@ -138,6 +140,16 @@ class GibbsState:
         """sigma = K K^H / Z, the sandwich ordering's density."""
         return _sandwich_density(self)
 
+    @cached_property
+    def boltzmann(self) -> CMatrix:
+        """e^{-beta H} = C e^{-beta H0} C^{-1}, the family's similarity of the weights."""
+        return self.family.similarity(self.weights)
+
+    @cached_property
+    def twist(self) -> CMatrix:
+        """M = C C^H, the twist of the shifted KMS boundary."""
+        return self.family.c_op @ numerics.dagger(self.family.c_op)
+
 
 def _trace_density(state: GibbsState) -> CMatrix:
     right = (state.family.vectors * state.weights) @ numerics.dagger(state.frame)
@@ -159,8 +171,7 @@ def gibbs_state(system: RieszSystem, spectrum: Spectrum, kind: FamilyKind) -> Gi
     check_dims(system, spectrum)
     fam = family(system, kind)
     return GibbsState(
-        kind=kind,
-        partition=family_partition(fam, spectrum),
+        partition=family_partition(fam.vectors, spectrum),
         family=fam,
         spectrum=spectrum,
         frame=system.frame,

@@ -21,20 +21,23 @@ A~ = (CF)^H X (CF) and B~ = F^H C^{-1} Y C F.  Then
     f(z) = (1/Z) sum_jk u_j(z) G_jk v_k(z),        G_jk = A~_jk B~_kj,
     u_j(z) = e^{i(i beta - z) lambda_j},        v_k(z) = e^{iz lambda_k}.
 
-The O(N^3) work (A~, B~ and the kernel G) is done once per strip function;
+The strip function holds its ``GibbsState``, from which beta, the lambdas,
+Z, the weights and the family (C, C F, F^H C^{-1}) are read.  The O(N^3)
+work (A~, B~ and the kernel G) is done once per strip function;
 each grid point then costs O(N^2), and a whole grid is one matrix product.
 The Boltzmann factor is merged into the phase exponents before ``exp``, so
 inside the strip |u_j|, |v_k| <= 1 and nothing leaves double range.
 
 Dense oracle.  The boundary right-hand sides take an independent route:
 alpha_t(Y) is built densely from the similarity propagators
-U_{+-t} = C e^{+-itH0} C^{-1}, and both states are traces against factors
-formed once, omega(X E) = tr(K_real E)/Z and omega(M^{-1} E M X) =
-tr(K_shift E)/Z, each O(N^2) as sum(K * E^T).  One propagator pair serves a
-grid point and its mirror: alpha_t(Y) = U_t Y U_{-t} and alpha_{-t}(Y) =
-U_{-t} Y U_t, three dense products per row where a symmetric grid pairs its
-points.  A boundary residual therefore always compares two different
-evaluations of the same number.
+U_{+-t} = C e^{+-itH0} C^{-1} (``Family.similarity`` of the phases), and both
+states are traces against factors formed once, omega(X E) = tr(K_real E)/Z
+and omega(M^{-1} E M X) = tr(K_shift E)/Z, each O(N^2) as sum(K * E^T);
+K_shift reads e^{-beta H} and M from the state's cache.  One propagator pair
+serves a grid point and its mirror: alpha_t(Y) = U_t Y U_{-t} and
+alpha_{-t}(Y) = U_{-t} Y U_t, three dense products per row where a symmetric
+grid pairs its points.  A boundary residual therefore always compares two
+different evaluations of the same number.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from . import numerics
-from .gibbs import GibbsState, Spectrum, omega_sum
+from .gibbs import GibbsState, omega_sum
 from .numerics import CMatrix
 
 
@@ -57,49 +60,31 @@ def kms_tolerance(cond_t: float, dim: int) -> float:
 
 @dataclass(frozen=True)
 class StripFunction:
-    """Spectral kernel of one observable pair and one state family.
+    """Spectral kernel of one observable pair in one state.
 
-    Holds what the grid evaluation and the dense boundary oracle need, and
-    nothing else.
+    The state carries beta, the lambdas, Z, the weights and the family; the
+    strip function adds the observables and the kernel and nothing else.
     """
 
+    state: GibbsState = field(repr=False)
     x: CMatrix
     y: CMatrix
-    spectrum: Spectrum
-    partition: float
-    # C F and F^H C^{-1}: the constructing operator taken on the H0 eigenbasis
-    c_op: CMatrix = field(repr=False)
-    c_inv: CMatrix = field(repr=False)
     # G_jk = A~_jk B~_kj
     kernel: CMatrix = field(repr=False)
-    # the state's Boltzmann weights, for the dense oracle's trace factors
-    weights: NDArray[np.float64] = field(repr=False)
 
     @property
     def beta(self) -> float:
-        return self.spectrum.beta
+        return self.state.spectrum.beta
 
 
 def strip_function(state: GibbsState, x: CMatrix, y: CMatrix) -> StripFunction:
     """Strip function of X, Y in the given state, over the state's family."""
     x = numerics.as_operator(x)
     y = numerics.as_operator(y)
-    fam = state.family
-    cf = fam.vectors
-    cf_inv = numerics.dagger(fam.duals)
-    cf_h = numerics.dagger(cf)
-    a_tilde = cf_h @ x @ cf
+    cf, cf_inv = state.family.vectors, state.family.duals_h
+    a_tilde = numerics.dagger(cf) @ x @ cf
     b_tilde = cf_inv @ y @ cf
-    return StripFunction(
-        x=x,
-        y=y,
-        spectrum=state.spectrum,
-        partition=state.partition,
-        c_op=cf,
-        c_inv=cf_inv,
-        kernel=a_tilde * b_tilde.T,
-        weights=state.weights,
-    )
+    return StripFunction(state=state, x=x, y=y, kernel=a_tilde * b_tilde.T)
 
 
 def strip_values(sf: StripFunction, zs: ArrayLike) -> NDArray[np.complex128]:
@@ -116,24 +101,19 @@ def strip_values(sf: StripFunction, zs: ArrayLike) -> NDArray[np.complex128]:
             f"the strip 0 <= Im z <= {sf.beta}; values grow without the thermal damping",
             stacklevel=2,
         )
-    lam = sf.spectrum.lambdas
+    lam = sf.state.spectrum.lambdas
     u = np.exp(np.multiply.outer(1j * (1j * sf.beta - zs), lam))
     v = np.exp(np.multiply.outer(1j * zs, lam))
-    return ((u @ sf.kernel) * v).sum(axis=1) / sf.partition
-
-
-def _propagator_pair(sf: StripFunction, t: float) -> tuple[CMatrix, CMatrix]:
-    """U_t and U_{-t}, with U_{+-t} = C e^{+-itH0} C^{-1} built densely."""
-    phases = np.exp(1j * t * sf.spectrum.lambdas)
-    return (sf.c_op * phases) @ sf.c_inv, (sf.c_op * phases.conj()) @ sf.c_inv
+    return ((u @ sf.kernel) * v).sum(axis=1) / sf.state.partition
 
 
 def _trace_factors(sf: StripFunction) -> tuple[CMatrix, CMatrix]:
-    """K_real = C e^{-beta H0} C^H X and K_shift = M X C e^{-beta H0} C^{-1}
+    """K_real = C e^{-beta H0} C^H X and K_shift = M X e^{-beta H}
     (= M X C e^{-beta H0} C^H M^{-1}, with M^{-1} = (C^H)^{-1} C^{-1} cancelled)."""
-    cf_h = numerics.dagger(sf.c_op)
-    boltz_c = sf.c_op * sf.weights
-    return (boltz_c @ cf_h) @ sf.x, (sf.c_op @ cf_h) @ sf.x @ (boltz_c @ sf.c_inv)
+    state = sf.state
+    cf = state.family.vectors
+    k_real = ((cf * state.weights) @ numerics.dagger(cf)) @ sf.x
+    return k_real, state.twist @ sf.x @ state.boltzmann
 
 
 class KmsRow(NamedTuple):
@@ -159,16 +139,18 @@ def verification_rows(sf: StripFunction, t_grid: Sequence[float]) -> list[KmsRow
     ts = np.asarray(t_grid, dtype=float).reshape(-1)
     values = strip_values(sf, np.concatenate([ts, ts + 1j * sf.beta]))
     k_real, k_shift = _trace_factors(sf)
+    fam, lam, partition = sf.state.family, sf.state.spectrum.lambdas, sf.state.partition
 
     def boundary_rhs(evolved: CMatrix) -> list[complex]:
-        return [np.sum(k * evolved.T) / sf.partition for k in (k_real, k_shift)]
+        return [np.sum(k * evolved.T) / partition for k in (k_real, k_shift)]
 
     points = ts.tolist()
     grid = set(points)
     rhs: dict[float, list[complex]] = {}
     for t in points:
         if t not in rhs:
-            u_fwd, u_bwd = _propagator_pair(sf, t)
+            phases = np.exp(1j * t * lam)
+            u_fwd, u_bwd = fam.similarity(phases), fam.similarity(phases.conj())
             rhs[t] = boundary_rhs(u_fwd @ sf.y @ u_bwd)
             if t and -t in grid:
                 rhs[-t] = boundary_rhs(u_bwd @ sf.y @ u_fwd)
@@ -198,22 +180,18 @@ def verify_kms_like(sf: StripFunction, t_grid: Sequence[float]) -> BoundaryResid
     return boundary_residuals(verification_rows(sf, t_grid))
 
 
-def cauchy_mean_residual(
-    sf: StripFunction, z0: complex, radius: float | None = None, nodes: int = 32
-) -> float:
+def cauchy_mean_residual(sf: StripFunction, z0: complex) -> float:
     """|mean of f over a circle around z0 - f(z0)|, an interior-analyticity probe.
 
-    The circle must stay inside the open strip; the default radius is half the
-    distance to the nearer boundary (capped at 0.5).
+    The circle has 32 nodes and a radius of half the distance to the nearer
+    boundary (capped at 0.5), so it stays inside the open strip.
     """
     z0 = complex(z0)
     margin = min(z0.imag, sf.beta - z0.imag)
     if margin <= 0.0:
         raise ValueError("z0 must lie strictly inside the strip")
-    if radius is None:
-        radius = min(0.5 * margin, 0.5)
-    if radius >= margin:
-        raise ValueError("circle leaves the strip")
+    radius = min(0.5 * margin, 0.5)
+    nodes = 32
     angles = 2.0 * np.pi * np.arange(nodes) / nodes
     values = strip_values(sf, np.append(z0 + radius * np.exp(1j * angles), z0))
     return float(abs(values[:-1].mean() - values[-1]))
@@ -225,12 +203,11 @@ def nonhermitian_density_residual(state: GibbsState, xs: Sequence[CMatrix]) -> f
 
     e^{-beta H} is the similarity transform C e^{-beta H0} C^{-1} (for the phi
     state T e^{-beta H0} T^{-1}); the identity rewrites the state as a trace
-    against the non-Hermitian density e^{-beta H} M / Z, formed once here and
-    compared with the defining sum on every observable.
+    against the non-Hermitian density e^{-beta H} M / Z, formed once here from
+    the state's cached e^{-beta H} and M and compared with the defining sum on
+    every observable.
     """
-    c_op = state.family.c_op
-    density = state.family.similarity(state.weights) @ (c_op @ numerics.dagger(c_op))
-    density /= state.partition
+    density = state.boltzmann @ state.twist / state.partition
     return max(
         (abs(complex(np.sum(density * x.T)) - omega_sum(state, x)) for x in xs),
         default=0.0,

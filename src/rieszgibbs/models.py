@@ -359,8 +359,10 @@ def _sweep_row(spec: ModelSpec, axis_value: float, prev: SweepRow | None) -> Swe
     omega_id = omega_sum(state, observable_matrix("identity", spec.n)).real
     ground = observable_matrix("ground_projector", spec.n)
     omega_ground = omega_sum(state, ground).real
-    pair = entropy_mod.build_density(system, spectrum, normalize=True)
-    s_rho = entropy_mod.entropy_generalized(pair)
+    # only S_rho is read: the pair's four N x N arrays go before the KMS peak
+    s_rho = entropy_mod.entropy_generalized(
+        entropy_mod.build_density(system, spectrum, normalize=True)
+    )
     bio = verify_biorthogonality(system)
     sf = kms_mod.strip_function(state, ground, ground)
     res = kms_mod.verify_kms_like(sf, SWEEP_T_GRID)

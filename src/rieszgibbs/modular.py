@@ -29,7 +29,7 @@ from .gibbs import GibbsState
 from .numerics import CMatrix, HermitianEig
 
 #: largest dimension for which the dense Delta oracle may be materialized
-ORACLE_DIM_MAX = 8
+ORACLE_DIM_MAX = 6
 
 
 def modular_tolerance(cond_omega: float) -> float:

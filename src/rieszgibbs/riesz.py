@@ -13,11 +13,14 @@ is automatic, so construction only has to police conditioning and unitarity.
 Each downstream object is built for one *family*, fixed by its constructing
 operator C = I, T or (T^{-1})^H (``family``); a function g of H0 carried by
 the family is the similarity C g(H0) C^{-1} = sum_n g(lambda_n) v_n d_n^H.
+Each family is formed once per system, on first use, and holds C, the
+columns v_n of C F and the rows d_n^H of F^H C^{-1}; propagators, Gibbs
+states and strip functions read them from there rather than copying them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -46,6 +49,7 @@ class RieszSystem:
     t_op, t_inv : the constructing operator and its inverse
     phi, psi : matrices whose columns are phi_n and psi_n
     cond_t : 2-norm condition number of t_op
+    families : the families by kind, each formed by ``family`` on first use
     """
 
     dim: int
@@ -55,6 +59,9 @@ class RieszSystem:
     phi: CMatrix
     psi: CMatrix
     cond_t: float
+    families: dict[FamilyKind, Family] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -111,39 +118,42 @@ FamilyKind = Literal["f", "phi", "psi"]
 
 
 class Family(NamedTuple):
-    """Constructing operator C of one family, its inverse and both column sets.
+    """Constructing operator C of one family and its biorthogonal column sets.
 
-    ``vectors`` = C F and ``duals`` = (C^{-1})^H F are biorthogonal, so a
-    function of H0 carried by the family, C g(H0) C^{-1}, is ``similarity(g)``
-    for g given by its values g(lambda_n).
+    ``vectors`` = C F and ``duals_h`` = F^H C^{-1} satisfy duals_h @ vectors = I,
+    so a function of H0 carried by the family, C g(H0) C^{-1}, is
+    ``similarity(g)`` for g given by its values g(lambda_n).
     """
 
     c_op: CMatrix
-    c_inv: CMatrix
     vectors: CMatrix
-    duals: CMatrix
+    duals_h: CMatrix
 
     def similarity(self, g: np.ndarray) -> CMatrix:
-        """C F diag(g) F^H C^{-1} = (vectors * g) @ duals^H."""
-        return (self.vectors * g) @ numerics.dagger(self.duals)
+        """C F diag(g) F^H C^{-1} = (vectors * g) @ duals_h."""
+        return (self.vectors * g) @ self.duals_h
 
 
 def family(system: RieszSystem, kind: FamilyKind) -> Family:
     """The frame ("f", C = I), phi (C = T) or psi (C = (T^{-1})^H) family.
 
-    The psi family is the phi family of ``dual_system`` (C = (T^{-1})^H with
-    inverse T^H), read off the existing arrays without a fresh inversion.
+    Formed on first use, frozen and kept in ``system.families``, so every
+    caller shares one copy.  The psi family is the phi family of
+    ``dual_system``, read off the existing arrays without a fresh inversion.
     """
-    if kind == "f":
-        eye = np.eye(system.dim, dtype=complex)
-        return Family(eye, eye, system.frame, system.frame)
-    if kind == "phi":
-        return Family(system.t_op, system.t_inv, system.phi, system.psi)
-    if kind == "psi":
-        return Family(
-            numerics.dagger(system.t_inv), numerics.dagger(system.t_op), system.psi, system.phi
-        )
-    raise ValueError(f"family kind must be 'f', 'phi' or 'psi', got {kind!r}")
+    if kind not in system.families:
+        if kind == "f":
+            eye = np.eye(system.dim, dtype=complex)
+            fam = Family(eye, system.frame, numerics.dagger(system.frame))
+        elif kind == "phi":
+            fam = Family(system.t_op, system.phi, numerics.dagger(system.psi))
+        elif kind == "psi":
+            fam = Family(numerics.dagger(system.t_inv), system.psi, numerics.dagger(system.phi))
+        else:
+            raise ValueError(f"family kind must be 'f', 'phi' or 'psi', got {kind!r}")
+        _freeze(*fam)
+        system.families[kind] = fam
+    return system.families[kind]
 
 
 def verify_biorthogonality(system: RieszSystem) -> float:
@@ -157,21 +167,19 @@ class NaturalnessResult(NamedTuple):
     max_deviation: float
 
 
-def check_naturalness(
-    system: RieszSystem, given_psi: CMatrix, tol: float | None = None
-) -> NaturalnessResult:
+def check_naturalness(system: RieszSystem, given_psi: CMatrix) -> NaturalnessResult:
     """Does a proposed dual family satisfy the defining identity T^H psi_n = f_n?
 
     Measures max_n ||T^H psi_n - f_n|| by multiplication, never through the
-    inverse that built the system's own psi family.
+    inverse that built the system's own psi family, against the
+    biorthogonality tolerance.
     """
     given = np.asarray(given_psi, dtype=complex)
     if given.shape != (system.dim, system.dim):
         raise DimensionMismatch(
             f"expected a {system.dim}x{system.dim} dual family, got {given.shape}"
         )
-    if tol is None:
-        tol = biorthogonality_tolerance(system.cond_t)
+    tol = biorthogonality_tolerance(system.cond_t)
     defect = numerics.dagger(system.t_op) @ given - system.frame
     dev = float(np.max(np.linalg.norm(defect, axis=0)))
     return NaturalnessResult(is_natural=dev <= tol, max_deviation=dev)

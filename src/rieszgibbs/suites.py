@@ -169,9 +169,9 @@ def check_dynamics(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> G
 
     # each identity: one eigenbasis side (spectral_evolution) against one dense
     # similarity side (evolve); X~ is formed once per family and observable
-    spectral = {which: dyn.spectral_evolution(ham, which, x) for which in ("0", "phi", "psi")}
+    spectral = {which: dyn.spectral_evolution(ham, which, x) for which in ("f", "phi", "psi")}
     psi_of_adjoint = dyn.spectral_evolution(ham, "psi", numerics.dagger(x))
-    pulled = dyn.spectral_evolution(ham, "0", system.t_inv @ x @ system.t_op)
+    pulled = dyn.spectral_evolution(ham, "f", system.t_inv @ x @ system.t_op)
     r_group = r_adjoint = r_inter = 0.0
     for s, t in pairs:
         for which, alpha in spectral.items():
@@ -194,7 +194,7 @@ def check_dynamics(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> G
         dyn.generator_residuals(
             dyn.spectral_evolution(ham, which, dyn.generator_of(ham, which)), (1.0,)
         )[0]
-        for which in ("0", "phi", "psi")
+        for which in ("f", "phi", "psi")
     )
     t_cont = 1e-8
     r_continuity = max(numerics.frobenius(alpha(t_cont) - x) for alpha in spectral.values())
@@ -304,8 +304,7 @@ def check_kms(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> GroupR
     ]
     # degenerate twist: when TT^H commutes with e^{-beta H} the shifted-boundary
     # twist migrates onto the static observable, f(t+i beta) = omega(alpha_t(Y) M X M^-1)
-    twist = system.t_op @ numerics.dagger(system.t_op)
-    exp_bh = state_phi.family.similarity(state_phi.weights)
+    twist, exp_bh = state_phi.twist, state_phi.boltzmann
     if numerics.frobenius(twist @ exp_bh - exp_bh @ twist) < 1e-12 * numerics.frobenius(exp_bh):
         ham = dyn.hamiltonian(system, spectrum)
         migrated = twist @ x @ numerics.inverse(twist)[0]
@@ -407,7 +406,7 @@ def check_modular(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> Gr
         SubCheck("modular_kms", r_mkms, tol),
         SubCheck("commutant", r_comm, 1e-12),
     ]
-    if n <= 6:
+    if n <= md.ORACLE_DIM_MAX:
         oracle = np.sort(np.linalg.eigvalsh(md.delta_matrix(data)))
         expected = md.delta_spectrum_expected(data)
         rel = float(np.max(np.abs(oracle - expected) / np.maximum(1.0, expected)))

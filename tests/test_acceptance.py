@@ -107,7 +107,7 @@ def test_criterion_04_dynamics(rng):
                 - dynamics.evolve(ham, "psi", t, x.conj().T)
             )
             worst_adjoint = max(worst_adjoint, adj)
-        for which in ("0", "phi", "psi"):
+        for which in ("f", "phi", "psi"):
             r1, r2 = dynamics.generator_residuals(
                 dynamics.spectral_evolution(ham, which, x), (1e-3, 5e-4)
             )
@@ -176,7 +176,7 @@ def test_criterion_07_kms_boundaries(rng):
     textbook = max(
         abs(
             kms.strip_values(sf, [t + 1j * osc.spectrum.beta])[0]
-            - gibbs.omega_trace(state, dynamics.evolve(ham, "0", t, y) @ x)
+            - gibbs.omega_trace(state, dynamics.evolve(ham, "f", t, y) @ x)
         )
         for t in t_grid
     )

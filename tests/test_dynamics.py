@@ -20,17 +20,17 @@ class TestAlpha0:
     def test_time_zero_is_identity_map(self, rng):
         ham = two_level_ham()
         x = random_observable(2, rng)
-        np.testing.assert_array_equal(dynamics.evolve(ham, "0", 0.0, x), x)
+        np.testing.assert_array_equal(dynamics.evolve(ham, "f", 0.0, x), x)
 
     def test_hamiltonian_is_fixed(self):
         ham = two_level_ham()
-        assert numerics.frobenius(dynamics.evolve(ham, "0", 3.7, ham.h0) - ham.h0) <= 1e-14
+        assert numerics.frobenius(dynamics.evolve(ham, "f", 3.7, ham.h0) - ham.h0) <= 1e-14
 
     def test_offdiagonal_phase(self):
         # entry (0,1) picks up e^{it(lambda_0 - lambda_1)} = e^{-it}
         ham = two_level_ham()
         for t in (0.3, 2.0, -5.0):
-            out = dynamics.evolve(ham, "0", t, E01)
+            out = dynamics.evolve(ham, "f", t, E01)
             assert out[0, 1] == pytest.approx(np.exp(-1j * t), abs=1e-15)
             assert abs(out[1, 0]) <= 1e-15
 
@@ -73,7 +73,7 @@ class TestPropagators:
         ham = dynamics.hamiltonian(system, spectrum)
         eye = np.eye(n, dtype=complex)
         ops = {
-            "0": (eye, eye),
+            "f": (eye, eye),
             "phi": (system.t_op, system.t_inv),
             "psi": (system.t_inv.conj().T, system.t_op.conj().T),
         }
@@ -86,7 +86,7 @@ class TestPropagators:
 
 
 class TestSpectralEvolution:
-    @pytest.mark.parametrize("which", ["0", "phi", "psi"])
+    @pytest.mark.parametrize("which", ["f", "phi", "psi"])
     def test_matches_dense_evolution_on_random_frame(self, rng, which):
         frame = models.random_unitary(16, rng)
         t_op = models.build_t({"rule": "shift_perturbed", "epsilon": 0.5}, 16)
@@ -120,7 +120,7 @@ class TestDeformedEvolutions:
         x = random_observable(32, rng)
         t = 1.4
         direct = dynamics.evolve(ham, "phi", t, x)
-        sandwich = sys_.t_op @ dynamics.evolve(ham, "0", t, sys_.t_inv @ x @ sys_.t_op) @ sys_.t_inv
+        sandwich = sys_.t_op @ dynamics.evolve(ham, "f", t, sys_.t_inv @ x @ sys_.t_op) @ sys_.t_inv
         assert numerics.frobenius(direct - sandwich) <= 1e-12
 
     def test_adjoint_exchanges_families(self, rng):
@@ -137,7 +137,7 @@ class TestDeformedEvolutions:
         ham = dynamics.hamiltonian(inst.system, inst.spectrum)
         x = random_observable(16, rng)
         for s, t in ((0.5, 0.25), (-3.0, 7.0), (9.0, -8.5)):
-            for which in ("0", "phi", "psi"):
+            for which in ("f", "phi", "psi"):
                 lhs = dynamics.evolve(ham, which, s + t, x)
                 rhs = dynamics.evolve(ham, which, s, dynamics.evolve(ham, which, t, x))
                 assert numerics.frobenius(lhs - rhs) <= 1e-11
@@ -149,7 +149,7 @@ class TestDeformedEvolutions:
         x = random_observable(16, rng)
         t = 2.7
         lhs = dynamics.evolve(ham, "phi", t, x) @ sys_.t_op
-        rhs = sys_.t_op @ dynamics.evolve(ham, "0", t, sys_.t_inv @ x @ sys_.t_op)
+        rhs = sys_.t_op @ dynamics.evolve(ham, "f", t, sys_.t_inv @ x @ sys_.t_op)
         assert numerics.frobenius(lhs - rhs) <= 1e-11 * sys_.cond_t**2
 
     def test_psi_evolution_is_dual_phi(self, rng):
@@ -167,13 +167,13 @@ class TestGenerators:
     def test_generator_is_the_stored_hamiltonian(self):
         inst = instance("shift_half", n=8)
         ham = dynamics.hamiltonian(inst.system, inst.spectrum)
-        for which, stored in (("0", ham.h0), ("phi", ham.h), ("psi", ham.h_dag)):
+        for which, stored in (("f", ham.h0), ("phi", ham.h), ("psi", ham.h_dag)):
             assert dynamics.generator_of(ham, which) is stored
 
     def test_commuting_observable_gives_zero(self):
         inst = instance("diag_sqrt", n=16)
         ham = dynamics.hamiltonian(inst.system, inst.spectrum)
-        for which in ("0", "phi", "psi"):
+        for which in ("f", "phi", "psi"):
             g = dynamics.generator_of(ham, which)
             assert dynamics.generator_residuals(dynamics.spectral_evolution(ham, which, g), (1.0,))[0] <= 1e-10
 
@@ -181,7 +181,7 @@ class TestGenerators:
         inst = instance("shift_half", n=8)
         ham = dynamics.hamiltonian(inst.system, inst.spectrum)
         x = random_observable(8, rng)
-        for which in ("0", "phi", "psi"):
+        for which in ("f", "phi", "psi"):
             r1, r2 = dynamics.generator_residuals(
                 dynamics.spectral_evolution(ham, which, x), (1e-3, 5e-4)
             )
@@ -190,13 +190,13 @@ class TestGenerators:
     def test_scalar_phase_taylor_bound(self):
         ham = two_level_ham()
         steps = (1e-2, 1e-3, 1e-4)
-        for t, r in zip(steps, dynamics.generator_residuals(dynamics.spectral_evolution(ham, "0", E01), steps)):
+        for t, r in zip(steps, dynamics.generator_residuals(dynamics.spectral_evolution(ham, "f", E01), steps)):
             assert r <= t * numerics.frobenius(E01)
 
     def test_rejects_nonpositive_step(self):
         ham = two_level_ham()
         with pytest.raises(ValueError):
-            dynamics.generator_residuals(dynamics.spectral_evolution(ham, "0", E01), (1e-3, 0.0))
+            dynamics.generator_residuals(dynamics.spectral_evolution(ham, "f", E01), (1e-3, 0.0))
 
 
 class TestSpectralData:

@@ -254,6 +254,22 @@ class TestRoutesOnRandomFrame:
             for route in (gibbs.omega_sum, gibbs.omega_trace, gibbs.omega_trace_sandwich):
                 assert abs(route(state, x) - expected) <= tol
 
+    @pytest.mark.parametrize("kind", ["f", "phi", "psi"])
+    def test_boltzmann_and_twist_match_dense_and_are_cached(self, kind):
+        rng = np.random.default_rng(5)
+        n = 8
+        t_op = np.eye(n) + 0.5 * np.eye(n, k=-1) + 0.1 * random_observable(n, rng)
+        system = riesz.build_system(random_unitary(n, rng), t_op)
+        spectrum = gibbs.Spectrum(lambdas=np.linspace(0.5, 4.0, n), beta=0.8)
+        state = gibbs.gibbs_state(system, spectrum, kind)
+        c = {"f": np.eye(n), "phi": t_op, "psi": np.linalg.inv(t_op).conj().T}[kind]
+        f = system.frame
+        boltz = c @ f @ np.diag(spectrum.weights()) @ f.conj().T @ np.linalg.inv(c)
+        tol = 1e-13 * system.cond_t**2
+        assert numerics.frobenius(state.boltzmann - boltz) <= tol * numerics.frobenius(boltz)
+        assert numerics.frobenius(state.twist - c @ c.conj().T) <= tol
+        assert state.boltzmann is state.boltzmann and state.twist is state.twist
+
 
 def _gibbs_sub(name, n=16, preset="shift_half"):
     subs = suites.check_gibbs(instance(preset, n=n), 0, ())

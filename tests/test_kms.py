@@ -30,7 +30,7 @@ class TestComplexTimeConjugation:
         ham = dynamics.hamiltonian(sys_, inst.spectrum)
         y = random_observable(8, rng)
         t = 1.7
-        real = sys_.t_op @ dynamics.evolve(ham, "0", t, sys_.t_inv @ y @ sys_.t_op) @ sys_.t_inv
+        real = sys_.t_op @ dynamics.evolve(ham, "f", t, sys_.t_inv @ y @ sys_.t_op) @ sys_.t_inv
         assert numerics.frobenius(dynamics.evolve(ham, "phi", complex(t, 0.0), y) - real) <= 1e-12
 
     def test_diagonal_fixed_at_thermal_point(self):
@@ -64,7 +64,7 @@ class TestStripFunction:
         boltz = riesz.family(sys_, "f").similarity(spec.weights())
         z0 = np.sum(spec.weights())
         for t in (0.0, 0.8, -2.5):
-            direct = np.trace(x @ dynamics.evolve(ham, "0", t, y) @ boltz) / z0
+            direct = np.trace(x @ dynamics.evolve(ham, "f", t, y) @ boltz) / z0
             assert kms.strip_values(sf, [t])[0] == pytest.approx(complex(direct), abs=1e-14)
 
     def test_rejects_unknown_kind(self, jordan2):
@@ -142,7 +142,7 @@ class TestBoundaryIdentities:
         ham = dynamics.hamiltonian(inst.system, inst.spectrum)
         for t in (0.0, 0.5, 1.0, -4.0):
             lhs = kms.strip_values(sf, [t + 1j * inst.spectrum.beta])[0]
-            rhs = gibbs.omega_trace(state, dynamics.evolve(ham, "0", t, y) @ x)
+            rhs = gibbs.omega_trace(state, dynamics.evolve(ham, "f", t, y) @ x)
             assert abs(lhs - rhs) <= 1e-12
 
     def test_untwisted_shifted_boundary_fails(self, rng):
@@ -270,20 +270,21 @@ def test_verification_rows_structure(jordan2):
 def fresh_oracle_rows(sf, t_grid):
     """Per-t dense reference: U_t and U_{-t} built fresh at every grid point,
     alpha_t(Y) = U_t Y U_{-t}, and both boundary residuals from the trace factors."""
-    lam = sf.spectrum.lambdas
-    cf_h = sf.c_op.conj().T
-    boltz_c = sf.c_op * sf.weights
-    k_real = (boltz_c @ cf_h) @ sf.x
-    k_shift = (sf.c_op @ cf_h) @ sf.x @ (boltz_c @ sf.c_inv)
+    state = sf.state
+    lam, partition = state.spectrum.lambdas, state.partition
+    c_op, cf, cf_inv = state.family
+    boltz_c = cf * state.weights
+    k_real = (boltz_c @ cf.conj().T) @ sf.x
+    k_shift = (c_op @ c_op.conj().T) @ sf.x @ (boltz_c @ cf_inv)
     ts = np.asarray(t_grid, dtype=float)
     values = kms.strip_values(sf, np.concatenate([ts, ts + 1j * sf.beta]))
     rows = []
     for t, f_real, f_shift in zip(ts.tolist(), values[: ts.size], values[ts.size :]):
-        u_fwd = (sf.c_op * np.exp(1j * t * lam)) @ sf.c_inv
-        u_bwd = (sf.c_op * np.exp(1j * -t * lam)) @ sf.c_inv
+        u_fwd = (cf * np.exp(1j * t * lam)) @ cf_inv
+        u_bwd = (cf * np.exp(1j * -t * lam)) @ cf_inv
         evolved = (u_fwd @ sf.y @ u_bwd).T
-        rhs_real = np.sum(k_real * evolved) / sf.partition
-        rhs_shift = np.sum(k_shift * evolved) / sf.partition
+        rhs_real = np.sum(k_real * evolved) / partition
+        rhs_shift = np.sum(k_shift * evolved) / partition
         rows.append(
             (t, float(f_real.real), float(f_real.imag),
              float(abs(f_real - rhs_real)), float(abs(f_shift - rhs_shift)))
@@ -321,21 +322,44 @@ class TestDenseOracle:
     def test_mirror_pair_forms_its_propagators_once(self, rng, monkeypatch):
         system, spectrum = framed_shift_system(8, rng)
         sf = strip(system, spectrum, random_observable(8, rng), random_observable(8, rng))
-        formed = []
-        pair = kms._propagator_pair
+        sf.state.boltzmann  # K_shift's e^{-beta H}, formed before the count starts
+        phases = []
+        similarity = riesz.Family.similarity
 
-        def counting(sf_, t):
-            formed.append(t)
-            return pair(sf_, t)
+        def counting(fam, g):
+            phases.append(g)
+            return similarity(fam, g)
 
-        monkeypatch.setattr(kms, "_propagator_pair", counting)
+        monkeypatch.setattr(riesz.Family, "similarity", counting)
         kms.verification_rows(sf, DEFAULT_GRID)
-        # 20 mirror pairs and t = 0
-        assert len(formed) == 21
-        assert len({abs(t) for t in formed}) == len(formed)
-        formed.clear()
+        # U_t and U_{-t}, one similarity each, for 20 mirror pairs and t = 0
+        assert len(phases) == 42
+        phases.clear()
         kms.verification_rows(sf, (-2.0, 0.5, 2.0, -0.5, 2.0, 0.0, -0.0))
-        assert sorted(abs(t) for t in formed) == [0.0, 0.5, 2.0]
+        # lambda_0 = 1, so each pair's forward phase e^{i t lambda_0} names |t|
+        assert len(phases) == 6
+        formed = sorted(abs(np.angle(g[0])) for g in phases[::2])
+        assert formed == pytest.approx([0.0, 0.5, 2.0], abs=1e-15)
+
+
+def test_check_kms_forms_the_phi_boltzmann_operator_once(monkeypatch):
+    # the density identity, the phi K_shift factor and the degenerate-twist
+    # probe all read e^{-beta H} from the phi state's cache
+    inst = instance("diag_sqrt", n=8)
+    phi = riesz.family(inst.system, "phi")
+    weights = inst.spectrum.weights()
+    formed = []
+    similarity = riesz.Family.similarity
+
+    def counting(fam, g):
+        if fam is phi and np.array_equal(g, weights):
+            formed.append(g)
+        return similarity(fam, g)
+
+    monkeypatch.setattr(riesz.Family, "similarity", counting)
+    result = suites.check_kms(inst, 0, (0.0, 1.5, -1.5))
+    assert "degenerate_twist" in [s.name for s in result.subchecks]
+    assert len(formed) == 1
 
 
 def test_kms_peak_memory_does_not_grow_with_the_grid():

@@ -1,7 +1,9 @@
+import gc
+
 import numpy as np
 import pytest
 
-from rieszgibbs import models, numerics
+from rieszgibbs import entropy, kms, models, numerics
 from rieszgibbs.errors import BadModel
 
 
@@ -198,3 +200,34 @@ class TestSweeps:
         rows = models.convergence_sweep(models.preset("jordan2"), [2])
         assert rows[0].bio_residual <= 1e-12
         assert rows[0].kms_residual <= 1e-12
+
+    def test_row_forms_only_the_families_it_evaluates(self, monkeypatch):
+        # Zpsi reads the psi columns off the system: forming the psi family
+        # would keep two more N x N conjugate copies alive through the row
+        built = []
+        real = models.instantiate
+
+        def recording(spec):
+            built.append(real(spec))
+            return built[-1]
+
+        monkeypatch.setattr(models, "instantiate", recording)
+        models.convergence_sweep(models.preset("shift_half"), [8])
+        assert set(built[0].system.families) == {"f", "phi"}
+
+    def test_row_drops_the_density_pair_before_the_kms_stage(self, monkeypatch):
+        # the pair holds four N x N arrays and the row reads only S_rho from it
+        def live_pairs():
+            return sum(isinstance(o, entropy.DensityPair) for o in gc.get_objects())
+
+        baseline = live_pairs()
+        seen = []
+        real = kms.verify_kms_like
+
+        def probe(sf, t_grid):
+            seen.append(live_pairs())
+            return real(sf, t_grid)
+
+        monkeypatch.setattr(kms, "verify_kms_like", probe)
+        models.convergence_sweep(models.preset("shift_half"), [8])
+        assert seen == [baseline]

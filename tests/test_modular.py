@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import instance
-from rieszgibbs import dynamics, gibbs, modular, numerics, riesz
+from rieszgibbs import dynamics, gibbs, modular, numerics, riesz, suites
 from rieszgibbs.errors import Singular
 from rieszgibbs.models import random_observable, random_unitary
 
@@ -169,10 +169,17 @@ class TestDeltaOperator:
             assert np.max(np.abs(got - expected) / np.maximum(1.0, expected)) <= 1e-10
 
     def test_oracle_dimension_guard(self):
-        inst = instance("oscillator", n=16)
-        md = modular.modular_data(omega_of(inst.system, inst.spectrum))
-        with pytest.raises(ValueError):
-            modular.delta_matrix(md)
+        for n in (modular.ORACLE_DIM_MAX + 1, 16):
+            inst = instance("oscillator", n=n)
+            md = modular.modular_data(omega_of(inst.system, inst.spectrum))
+            with pytest.raises(ValueError):
+                modular.delta_matrix(md)
+
+    def test_check_modular_runs_the_oracle_up_to_its_limit(self):
+        for n, expected in ((modular.ORACLE_DIM_MAX, True), (modular.ORACLE_DIM_MAX + 1, False)):
+            result = suites.check_modular(instance("oscillator", n=n), 0, ())
+            names = [s.name for s in result.subchecks]
+            assert ("delta_spectrum_oracle" in names) == expected
 
     def test_cyclic_separating_proxy(self):
         # X -> X Omega is injective with full-dimensional range when Omega is nonsingular
@@ -261,5 +268,5 @@ class TestCommutingFlowRelation:
         x = random_observable(6, rng)
         t = 0.9
         lhs = modular.modular_flow(md, t, x)
-        rhs = dynamics.evolve(ham, "0", -inst.spectrum.beta * t, x)
+        rhs = dynamics.evolve(ham, "f", -inst.spectrum.beta * t, x)
         assert numerics.frobenius(lhs - rhs) <= 1e-12

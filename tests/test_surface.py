@@ -6,6 +6,10 @@ the definition itself, or through a ``from ... import``) or a ``module.attr``
 whose ``module`` is bound to the defining module.  Import statements and
 docstring mentions are not uses, and neither are the tests: a name that only
 tests call is dead code.
+
+Likewise every annotated field of a dataclass or ``NamedTuple`` is read as
+``obj.<field>`` somewhere in the package or the demos; a field nothing reads
+is dead data that each constructor still has to fill.
 """
 
 import ast
@@ -122,3 +126,57 @@ def test_allowed_names_exist_and_are_still_unused():
     public, uses = _scan()
     for key in ALLOWED:
         assert key in public and key not in uses, key
+
+
+#: record types whose fields are written by position, never read by name
+POSITIONAL_RECORDS = {
+    ("kms", "KmsRow"): "a kms_*.csv row, written whole by position",
+    ("models", "SweepRow"): "a sweep_*.csv row, written whole by position",
+    ("entropy", "SummabilityRow"): "a summability.csv row, written whole by position",
+}
+
+
+def _is_record(node):
+    """Is a class definition a dataclass or a ``NamedTuple``?"""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    named = [n.id for n in decorators + node.bases if isinstance(n, ast.Name)]
+    return "dataclass" in named or "NamedTuple" in named
+
+
+def _record_fields():
+    """(module, class, field) for every annotated field of a record type in the package."""
+    out = set()
+    for path in sorted((ROOT / "src" / PACKAGE).glob("*.py")):
+        for node in _parse(path).body:
+            if isinstance(node, ast.ClassDef) and _is_record(node):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        out.add((path.stem, node.name, stmt.target.id))
+    return out
+
+
+def _attribute_reads():
+    """Every attribute name read as ``obj.name`` in the package or the demos."""
+    paths = sorted((ROOT / "src" / PACKAGE).glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    return {
+        node.attr
+        for path in paths
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_record_field_is_read():
+    # name-based: a field counts as read when any ``obj.<field>`` load exists
+    reads = _attribute_reads()
+    unread = sorted(
+        f"{mod}.{cls}.{name}"
+        for mod, cls, name in _record_fields()
+        if (mod, cls) not in POSITIONAL_RECORDS and name not in reads
+    )
+    assert unread == [], f"record fields nothing in src/ or demos/ reads: {unread}"
+
+
+def test_positional_records_exist():
+    records = {(mod, cls) for mod, cls, _ in _record_fields()}
+    assert set(POSITIONAL_RECORDS) <= records
