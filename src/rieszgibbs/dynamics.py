@@ -29,13 +29,16 @@ family; then alpha_t(X) = C F (P_t o X~) F^H C^{-1} with
 P_t[j,k] = e^{it(lambda_j - lambda_k)}, an O(N^2) phase table and two products
 per time, and no propagator.  Phases compose exactly there, so an identity
 never compares two eigenbasis forms: each pits one eigenbasis side against
-one dense similarity side ``evolve`` = U_t X U_{-t}.
+one dense similarity side, ``evolve`` = U_t X U_{-t} or ``dense_evolutions``,
+which serves all three evolutions at +-t from one phi propagator pair and
+one frame propagator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -48,25 +51,31 @@ from .riesz import Family, FamilyKind, RieszSystem, family
 
 @dataclass(frozen=True)
 class NonHermitianHamiltonian:
-    """H = T H0 T^{-1} and its adjoint companion, with cached spectral data."""
+    """H = T H0 T^{-1} and its adjoint companion over one system and spectrum.
+
+    The generators H0, H and H^dag are each formed on first use and cached, so
+    a caller that only evolves never pays for them.
+    """
 
     system: RieszSystem
     spectrum: Spectrum
-    h0: CMatrix = field(repr=False)
-    h: CMatrix = field(repr=False)
-    h_dag: CMatrix = field(repr=False)
+
+    @cached_property
+    def h0(self) -> CMatrix:
+        return family(self.system, "f").similarity(self.spectrum.lambdas)
+
+    @cached_property
+    def h(self) -> CMatrix:
+        return family(self.system, "phi").similarity(self.spectrum.lambdas)
+
+    @cached_property
+    def h_dag(self) -> CMatrix:
+        return family(self.system, "psi").similarity(self.spectrum.lambdas)
 
 
 def hamiltonian(system: RieszSystem, spectrum: Spectrum) -> NonHermitianHamiltonian:
     check_dims(system, spectrum)
-    lam = spectrum.lambdas
-    return NonHermitianHamiltonian(
-        system=system,
-        spectrum=spectrum,
-        h0=family(system, "f").similarity(lam),
-        h=family(system, "phi").similarity(lam),
-        h_dag=family(system, "psi").similarity(lam),
-    )
+    return NonHermitianHamiltonian(system=system, spectrum=spectrum)
 
 
 def propagator(ham: NonHermitianHamiltonian, which: FamilyKind, t: complex) -> CMatrix:
@@ -79,8 +88,38 @@ def evolve(ham: NonHermitianHamiltonian, which: FamilyKind, t: complex, x: CMatr
     return propagator(ham, which, t) @ x @ propagator(ham, which, -t)
 
 
+def dense_evolutions(
+    ham: NonHermitianHamiltonian, x: CMatrix, times: Sequence[float]
+) -> Iterator[tuple[int, FamilyKind, CMatrix]]:
+    """(i, which, alpha_{times[i]}(X)) for the three evolutions, densely, one
+    evolution at a time.
+
+    One phi pair U_{+-tau} and one frame propagator serve every time with
+    |t| = tau: alpha^psi_t(X) = alpha^phi_t(X^H)^H, since e^{itH^dag} =
+    (e^{-itH})^H, and U^f_{-t} = (U^f_t)^H, since F is unitary.
+    """
+    lam = ham.spectrum.lambdas
+    phi, frame = family(ham.system, "phi"), family(ham.system, "f")
+    x_h = numerics.dagger(x)
+    by_abs: dict[float, list[int]] = {}
+    for i, t in enumerate(times):
+        by_abs.setdefault(abs(t), []).append(i)
+    for tau, members in by_abs.items():
+        phases = np.exp(1j * tau * lam)
+        u_fwd, u_bwd = phi.similarity(phases), phi.similarity(phases.conj())
+        v_fwd = frame.similarity(phases)
+        for i in members:
+            if times[i] >= 0:
+                fwd, bwd, v = u_fwd, u_bwd, v_fwd
+            else:
+                fwd, bwd, v = u_bwd, u_fwd, numerics.dagger(v_fwd)
+            yield i, "f", v @ x @ numerics.dagger(v)
+            yield i, "phi", fwd @ x @ bwd
+            yield i, "psi", numerics.dagger(fwd @ x_h @ bwd)
+
+
 def generator_of(ham: NonHermitianHamiltonian, which: FamilyKind) -> CMatrix:
-    """C H0 C^{-1}: H0, H or H^dag, as ``hamiltonian`` stored them."""
+    """C H0 C^{-1}: H0, H or H^dag, as cached on the Hamiltonian."""
     return {"f": ham.h0, "phi": ham.h, "psi": ham.h_dag}[which]
 
 

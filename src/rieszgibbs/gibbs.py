@@ -14,12 +14,13 @@ Each admits an equivalent trace form, e.g. for the phi kind
 evaluation routes is one of the identities this package certifies.
 
 Cost model.  The trace and sandwich routes are densities formed once per
-state and route, on first use, in O(N^3):
+state and route, on first use, in O(N^3), and stored as their adjoints:
 
-    trace    rho   = ((C F) diag(w) F^H) C^H / Z,
+    trace    rho^H = C ((F diag(w)) (C F)^H) / Z,
     sandwich sigma = K K^H / Z,   K = (C F) diag(w^{1/2}) = C e^{-beta H0/2} F,
 
-after which each observable costs O(N^2), as tr(rho X) = sum(rho * X^T).
+(sigma is its own adjoint by its formula).  Each observable then costs one
+contiguous O(N^2) dot, tr(rho X) = (X | rho^H) = ``numerics.hs_inner(X, rho^H)``.
 The half factor K omits the trailing unitary F^H of C e^{-beta H0/2} =
 (C F) diag(w^{1/2}) F^H: K K^H and |K^H|, its only readers, do not see it.
 The defining sum ``omega_sum`` stays a per-observable O(N^3) evaluation: it
@@ -126,8 +127,8 @@ class GibbsState:
         return omega_sum(self, x)
 
     @cached_property
-    def trace_density(self) -> CMatrix:
-        """rho = ((C F) diag(w) F^H) C^H / Z, so that omega(X) = tr(rho X)."""
+    def trace_density_h(self) -> CMatrix:
+        """rho^H, the adjoint of the density rho with omega(X) = tr(rho X)."""
         return _trace_density(self)
 
     @cached_property
@@ -137,7 +138,7 @@ class GibbsState:
 
     @cached_property
     def sandwich_density(self) -> CMatrix:
-        """sigma = K K^H / Z, the sandwich ordering's density."""
+        """sigma = K K^H / Z, the sandwich ordering's density and its own adjoint."""
         return _sandwich_density(self)
 
     @cached_property
@@ -152,8 +153,8 @@ class GibbsState:
 
 
 def _trace_density(state: GibbsState) -> CMatrix:
-    right = (state.family.vectors * state.weights) @ numerics.dagger(state.frame)
-    return right @ numerics.dagger(state.family.c_op) / state.partition
+    right = (state.frame * state.weights) @ numerics.dagger(state.family.vectors)
+    return state.family.c_op @ right / state.partition
 
 
 def _half_factor(state: GibbsState) -> CMatrix:
@@ -198,14 +199,14 @@ def omega_sum(state: GibbsState, x: CMatrix) -> complex:
 
 def omega_trace(state: GibbsState, x: CMatrix) -> complex:
     """Trace form of the same functional, e.g. (1/Zphi) tr(T^H X T e^{-beta H0}),
-    as tr(rho X) against the cached trace density: O(N^2) per X."""
-    return complex(np.sum(state.trace_density * _observable(state, x).T))
+    as tr(rho X) = (X | rho^H) against the cached rho^H: O(N^2) per X."""
+    return numerics.hs_inner(_observable(state, x), state.trace_density_h)
 
 
 def omega_trace_sandwich(state: GibbsState, x: CMatrix) -> complex:
     """Sandwich ordering (1/Z) tr((C e^{-beta H0/2})^H X (C e^{-beta H0/2})),
-    as tr(sigma X) against the cached sandwich density: O(N^2) per X."""
-    return complex(np.sum(state.sandwich_density * _observable(state, x).T))
+    as tr(sigma X) = (X | sigma) against the cached sigma = sigma^H: O(N^2) per X."""
+    return numerics.hs_inner(_observable(state, x), state.sandwich_density)
 
 
 def omega_ratio_residual(state_phi: GibbsState, state_f: GibbsState, x: CMatrix) -> float:
@@ -230,9 +231,10 @@ def faithfulness_witness(state: GibbsState) -> FaithfulnessWitness:
 
     rho is the state's trace density, C e^{-beta H0} C^H / Z (for the phi kind
     T e^{-beta H0} T^H / Zphi); the functional is faithful exactly when rho is
-    positive definite.  The witness symmetrizes a copy to remove roundoff.
+    positive definite.  The witness symmetrizes the cached rho^H into a copy
+    to remove roundoff.
     """
-    rho = state.trace_density
+    rho = state.trace_density_h
     rho = 0.5 * (rho + numerics.dagger(rho))
     eig = numerics.herm_eig(rho)
     return FaithfulnessWitness(min_eigenvalue=float(eig.values[0]), density=rho)

@@ -32,12 +32,15 @@ Dense oracle.  The boundary right-hand sides take an independent route:
 alpha_t(Y) is built densely from the similarity propagators
 U_{+-t} = C e^{+-itH0} C^{-1} (``Family.similarity`` of the phases), and both
 states are traces against factors formed once, omega(X E) = tr(K_real E)/Z
-and omega(M^{-1} E M X) = tr(K_shift E)/Z, each O(N^2) as sum(K * E^T);
-K_shift reads e^{-beta H} and M from the state's cache.  One propagator pair
-serves a grid point and its mirror: alpha_t(Y) = U_t Y U_{-t} and
-alpha_{-t}(Y) = U_{-t} Y U_t, three dense products per row where a symmetric
-grid pairs its points.  A boundary residual therefore always compares two
-different evaluations of the same number.
+and omega(M^{-1} E M X) = tr(K_shift E)/Z; K_shift reads e^{-beta H} and M
+from the state's cache.  Each trace is one contiguous O(N^2) dot,
+tr(K E) = (E | K^H) = ``numerics.hs_inner(E, K^H)``, against K^H stored once.
+One propagator pair serves a grid point and its mirror, alpha_t(Y) =
+U_t Y U_{-t} and alpha_{-t}(Y) = U_{-t} Y U_t, and the rows of both deformed
+states: psi's propagators are the adjoints of phi's, U^psi_t = (U^phi_{-t})^H,
+so alpha^psi_t(Y) = alpha^phi_t(Y^H)^H.  A mirror pair costs 2 similarities
+and 8 products for its four rows.  A boundary residual therefore always
+compares two different evaluations of the same number.
 """
 
 from __future__ import annotations
@@ -127,39 +130,77 @@ class KmsRow(NamedTuple):
 KMS_COLUMNS = KmsRow._fields
 
 
-def verification_rows(sf: StripFunction, t_grid: Sequence[float]) -> list[KmsRow]:
-    """f(t) and both boundary residuals at each real grid point.
+def _check_adjoint(sf: StripFunction, adjoint: StripFunction) -> None:
+    """Raise ValueError unless ``adjoint`` is over the adjoint family of ``sf``'s
+    (columns F^H C^{-1} and C F swapped and adjoined) with the same energies."""
+    fam, adj = sf.state.family, adjoint.state.family
+    if not (
+        np.array_equal(adj.vectors, numerics.dagger(fam.duals_h))
+        and np.array_equal(adj.duals_h, numerics.dagger(fam.vectors))
+        and np.array_equal(adjoint.state.spectrum.lambdas, sf.state.spectrum.lambdas)
+    ):
+        raise ValueError(
+            "the second strip function must be over the adjoint family of the first"
+        )
 
-    The strip values on both boundaries come from one ``strip_values`` call;
-    the right-hand sides from the dense oracle.  Where the grid holds t and
-    -t, one propagator pair U_{+-t} gives both alpha_t(Y) = U_t Y U_{-t} and
-    alpha_{-t}(Y) = U_{-t} Y U_t, and only the mirror row's two traces are
-    kept; one pair is live at a time, and a repeated point is evaluated once.
+
+def verification_rows(
+    sf: StripFunction, t_grid: Sequence[float], adjoint: StripFunction | None = None
+) -> list[list[KmsRow]]:
+    """f(t) and both boundary residuals at each real grid point: one row list
+    for ``sf`` and one for ``adjoint``, when given.
+
+    ``adjoint`` is a strip function over the adjoint family of ``sf``'s (phi
+    and psi are each other's, f is its own); ValueError otherwise.  The strip
+    values come from ``strip_values``, the right-hand sides from the dense
+    oracle with the propagators U_{+-t} of ``sf``'s family only: the adjoint
+    family's are U'_t = (U_{-t})^H, so its rows read alpha'_t(Y') =
+    alpha_t(Y'^H)^H.  One pair serves t and -t, one pair is live at a time,
+    and a repeated point is evaluated once.
     """
+    strips = [sf]
+    if adjoint is not None:
+        _check_adjoint(sf, adjoint)
+        strips.append(adjoint)
     ts = np.asarray(t_grid, dtype=float).reshape(-1)
-    values = strip_values(sf, np.concatenate([ts, ts + 1j * sf.beta]))
-    k_real, k_shift = _trace_factors(sf)
-    fam, lam, partition = sf.state.family, sf.state.spectrum.lambdas, sf.state.partition
+    # the O(M N) strip grids go before the N x N trace factors are formed
+    values = [strip_values(s, np.concatenate([ts, ts + 1j * s.beta])) for s in strips]
+    # (operand to evolve, trace factors, conjugate the trace?): tr(K E) = (E | K^H)
+    # against K^H stored contiguous for sf, tr(K' W^H) = conj((W | K')) for the adjoint
+    operands = [
+        (sf.y, [np.ascontiguousarray(numerics.dagger(k)) for k in _trace_factors(sf)], False)
+    ]
+    if adjoint is not None:
+        operands.append((numerics.dagger(adjoint.y), list(_trace_factors(adjoint)), True))
+    fam, lam = sf.state.family, sf.state.spectrum.lambdas
 
-    def boundary_rhs(evolved: CMatrix) -> list[complex]:
-        return [np.sum(k * evolved.T) / partition for k in (k_real, k_shift)]
+    def boundary_rhs(u_fwd: CMatrix, u_bwd: CMatrix) -> list[list[complex]]:
+        out = []
+        for strip, (y, factors, conj) in zip(strips, operands):
+            evolved = u_fwd @ y @ u_bwd
+            traces = [numerics.hs_inner(evolved, k) / strip.state.partition for k in factors]
+            out.append([v.conjugate() for v in traces] if conj else traces)
+        return out
 
     points = ts.tolist()
     grid = set(points)
-    rhs: dict[float, list[complex]] = {}
+    rhs: dict[float, list[list[complex]]] = {}
     for t in points:
         if t not in rhs:
             phases = np.exp(1j * t * lam)
             u_fwd, u_bwd = fam.similarity(phases), fam.similarity(phases.conj())
-            rhs[t] = boundary_rhs(u_fwd @ sf.y @ u_bwd)
+            rhs[t] = boundary_rhs(u_fwd, u_bwd)
             if t and -t in grid:
-                rhs[-t] = boundary_rhs(u_bwd @ sf.y @ u_fwd)
-    rows = []
-    for t, f, f_shift in zip(points, values[: ts.size], values[ts.size :]):
-        rhs_real, rhs_shift = rhs[t]
-        res = float(abs(f - rhs_real)), float(abs(f_shift - rhs_shift))
-        rows.append(KmsRow(t, float(f.real), float(f.imag), *res))
-    return rows
+                rhs[-t] = boundary_rhs(u_bwd, u_fwd)
+    out = []
+    for i, strip_vals in enumerate(values):
+        rows = []
+        for t, f, f_shift in zip(points, strip_vals[: ts.size], strip_vals[ts.size :]):
+            rhs_real, rhs_shift = rhs[t][i]
+            res = float(abs(f - rhs_real)), float(abs(f_shift - rhs_shift))
+            rows.append(KmsRow(t, float(f.real), float(f.imag), *res))
+        out.append(rows)
+    return out
 
 
 class BoundaryResiduals(NamedTuple):
@@ -177,7 +218,7 @@ def boundary_residuals(rows: Sequence[KmsRow]) -> BoundaryResiduals:
 
 def verify_kms_like(sf: StripFunction, t_grid: Sequence[float]) -> BoundaryResiduals:
     """Boundary residuals of the strip function's family over a real grid."""
-    return boundary_residuals(verification_rows(sf, t_grid))
+    return boundary_residuals(verification_rows(sf, t_grid)[0])
 
 
 def cauchy_mean_residual(sf: StripFunction, z0: complex) -> float:
@@ -203,13 +244,13 @@ def nonhermitian_density_residual(state: GibbsState, xs: Sequence[CMatrix]) -> f
 
     e^{-beta H} is the similarity transform C e^{-beta H0} C^{-1} (for the phi
     state T e^{-beta H0} T^{-1}); the identity rewrites the state as a trace
-    against the non-Hermitian density e^{-beta H} M / Z, formed once here from
-    the state's cached e^{-beta H} and M and compared with the defining sum on
-    every observable.
+    against the non-Hermitian density e^{-beta H} M / Z.  Its adjoint is formed
+    once here from the state's cached e^{-beta H} and M, each trace is one dot
+    against it, and each is compared with the defining sum.
     """
-    density = state.boltzmann @ state.twist / state.partition
+    density_h = numerics.dagger(state.twist) @ numerics.dagger(state.boltzmann) / state.partition
     return max(
-        (abs(complex(np.sum(density * x.T)) - omega_sum(state, x)) for x in xs),
+        (abs(numerics.hs_inner(x, density_h) - omega_sum(state, x)) for x in xs),
         default=0.0,
     )
 

@@ -42,7 +42,7 @@ from .gibbs import (
     partition_constants,
 )
 from .numerics import CMatrix
-from .riesz import RieszSystem, build_system, verify_biorthogonality
+from .riesz import RieszSystem, build_system
 
 LAMBDA_RULES = ("linear", "power", "log", "explicit")
 T_RULES = ("identity", "diagonal", "shift_perturbed", "exp_generator", "explicit")
@@ -363,7 +363,6 @@ def _sweep_row(spec: ModelSpec, axis_value: float, prev: SweepRow | None) -> Swe
     s_rho = entropy_mod.entropy_generalized(
         entropy_mod.build_density(system, spectrum, normalize=True)
     )
-    bio = verify_biorthogonality(system)
     sf = kms_mod.strip_function(state, ground, ground)
     res = kms_mod.verify_kms_like(sf, SWEEP_T_GRID)
     kms_res = max(res.max_real, res.max_shifted)
@@ -379,7 +378,7 @@ def _sweep_row(spec: ModelSpec, axis_value: float, prev: SweepRow | None) -> Swe
         omega_identity=omega_id,
         omega_ground=omega_ground,
         s_rho=s_rho,
-        bio_residual=bio,
+        bio_residual=system.pair_deviation,
         kms_residual=kms_res,
         d_z0=diff(z.z0, prev.z0 if prev else None),
         d_z_phi=diff(z.z_phi, prev.z_phi if prev else None),

@@ -90,7 +90,7 @@ def herm_eig(a: CMatrix, check: bool = True) -> HermitianEig:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(f"eigendecomposition failed: {exc}") from exc
     scale = max(frobenius(a), 1.0)
-    recon = frobenius(vectors @ np.diag(values) @ dagger(vectors) - h)
+    recon = frobenius((vectors * values) @ dagger(vectors) - h)
     ortho = frobenius(dagger(vectors) @ vectors - np.eye(a.shape[0]))
     if recon > EIG_TOL * scale or ortho > EIG_TOL * max(1.0, np.sqrt(a.shape[0])):
         raise NoConvergence(
@@ -110,34 +110,36 @@ def svd(a: CMatrix) -> tuple[CMatrix, NDArray[np.float64], CMatrix]:
         u, s, vh = np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"SVD failed to converge: {exc}") from exc
-    recon = frobenius(u @ np.diag(s) @ vh - a)
+    recon = frobenius((u * s) @ vh - a)
     if recon > SVD_TOL * max(frobenius(a), 1.0):
         raise NoConvergence(f"SVD reconstruction residual {recon:.3e} too large")
     return u, s, dagger(vh)
 
 
-def cond(a: CMatrix) -> float:
-    """2-norm condition number via singular values (inf when singular)."""
+def cond(a: CMatrix) -> tuple[float, float]:
+    """2-norm condition number (inf when singular) and smallest singular value,
+    both from one SVD without vectors."""
     s = np.linalg.svd(as_operator(a), compute_uv=False)
     if s[-1] == 0.0:
-        return np.inf
-    return float(s[0] / s[-1])
+        return np.inf, 0.0
+    return float(s[0] / s[-1]), float(s[-1])
 
 
-def inverse(a: CMatrix) -> tuple[CMatrix, float]:
-    """Inverse of ``a`` and the condition number checked before inverting.
+def inverse(a: CMatrix) -> tuple[CMatrix, float, float]:
+    """Inverse of ``a`` with the condition number and smallest singular value
+    checked before inverting.
 
     Refused with Singular when that condition number exceeds COND_MAX.
     """
     a = as_operator(a)
-    c = cond(a)
+    c, sigma_min = cond(a)
     if not np.isfinite(c) or c > COND_MAX:
         raise Singular(f"condition estimate {c:.3e} exceeds {COND_MAX:.0e}")
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise Singular(str(exc)) from exc
-    return inv, c
+    return inv, c, sigma_min
 
 
 def abs_of_adjoint(a: CMatrix) -> CMatrix:

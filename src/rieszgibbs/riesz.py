@@ -21,6 +21,7 @@ states and strip functions read them from there rather than copying them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -48,7 +49,10 @@ class RieszSystem:
     frame : unitary matrix whose columns are the f_n
     t_op, t_inv : the constructing operator and its inverse
     phi, psi : matrices whose columns are phi_n and psi_n
-    cond_t : 2-norm condition number of t_op
+    cond_t, sigma_min_t : 2-norm condition number and smallest singular value
+        of t_op, from the SVD that guards its inversion
+    pair_deviation : max_nm |(phi_n | psi_m) - delta_nm|, measured when the
+        system is built
     families : the families by kind, each formed by ``family`` on first use
     """
 
@@ -59,9 +63,14 @@ class RieszSystem:
     phi: CMatrix
     psi: CMatrix
     cond_t: float
+    sigma_min_t: float
     families: dict[FamilyKind, Family] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    @cached_property
+    def pair_deviation(self) -> float:
+        return verify_biorthogonality(self)
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -85,7 +94,7 @@ def build_system(frame: CMatrix, t_op: CMatrix) -> RieszSystem:
     defect = numerics.frobenius(numerics.dagger(frame) @ frame - np.eye(n))
     if defect > FRAME_TOL * n:
         raise NotUnitary(f"frame unitarity defect {defect:.3e} exceeds {FRAME_TOL * n:.1e}")
-    t_inv, cond_t = numerics.inverse(t_op)
+    t_inv, cond_t, sigma_min_t = numerics.inverse(t_op)
     phi = t_op @ frame
     psi = numerics.dagger(t_inv) @ frame
     sys_ = RieszSystem(
@@ -96,9 +105,10 @@ def build_system(frame: CMatrix, t_op: CMatrix) -> RieszSystem:
         phi=phi,
         psi=psi,
         cond_t=cond_t,
+        sigma_min_t=sigma_min_t,
     )
     _freeze(sys_.frame, sys_.t_op, sys_.t_inv, sys_.phi, sys_.psi)
-    dev = verify_biorthogonality(sys_)
+    dev = sys_.pair_deviation
     tol = biorthogonality_tolerance(cond_t)
     if dev > tol:
         raise NoConvergence(f"biorthogonality deviation {dev:.3e} exceeds {tol:.3e}")

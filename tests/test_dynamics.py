@@ -163,6 +163,54 @@ class TestDeformedEvolutions:
         ) <= 1e-12
 
 
+class TestDenseEvolutions:
+    def test_match_evolve_on_random_frame(self, rng):
+        # psi from the adjoint of the phi evolution of X^H, f from U^f_{-t} = (U^f_t)^H
+        frame = models.random_unitary(16, rng)
+        t_op = models.build_t({"rule": "shift_perturbed", "epsilon": 0.5}, 16)
+        system = riesz.build_system(frame, t_op)
+        ham = dynamics.hamiltonian(system, gibbs.Spectrum(lambdas=1.0 + np.arange(16), beta=1.0))
+        x = random_observable(16, rng)
+        times = (1.2, -3.5, 3.5, 0.0)
+        seen = set()
+        for i, which, dense in dynamics.dense_evolutions(ham, x, times):
+            ref = dynamics.evolve(ham, which, times[i], x)
+            assert numerics.frobenius(dense - ref) <= 1e-13 * system.cond_t**2 * numerics.frobenius(ref)
+            seen.add((i, which))
+        assert seen == {(i, w) for i in range(4) for w in ("f", "phi", "psi")}
+
+    def test_generators_are_formed_on_first_use(self, monkeypatch):
+        inst = instance("shift_half", n=8)
+        calls = []
+        similarity = riesz.Family.similarity
+
+        def counting(fam, g):
+            calls.append(g)
+            return similarity(fam, g)
+
+        monkeypatch.setattr(riesz.Family, "similarity", counting)
+        ham = dynamics.hamiltonian(inst.system, inst.spectrum)
+        dynamics.evolve(ham, "phi", 0.7, random_observable(8, np.random.default_rng(1)))
+        assert len(calls) == 2  # U_t and U_{-t}, no generator
+        assert ham.h is ham.h and len(calls) == 3
+
+    def test_check_dynamics_similarity_count(self, monkeypatch):
+        # H0, H, H^dag once each; the group law's one phi pair and one frame
+        # propagator per |s + t| (1.2 and 3.5); evolve at the three adjoint-pairing
+        # times; the two propagators of propagator_adjoint
+        inst = instance("shift_half", n=32)
+        calls = []
+        similarity = riesz.Family.similarity
+
+        def counting(fam, g):
+            calls.append(g)
+            return similarity(fam, g)
+
+        monkeypatch.setattr(riesz.Family, "similarity", counting)
+        suites.check_dynamics(inst, 0, ())
+        assert len(calls) == 3 + 2 * 3 + 3 * 2 + 2 == 17
+
+
 class TestGenerators:
     def test_generator_is_the_stored_hamiltonian(self):
         inst = instance("shift_half", n=8)

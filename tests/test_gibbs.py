@@ -305,10 +305,14 @@ class TestPlantedDensityDefects:
         assert not _gibbs_sub("hermiticity").passed
 
     def test_trace_density_defect_fails_unitality_on_unitary_t(self, monkeypatch):
-        # oscillator has T = I, where unitality reads exactly 0.0
-        assert _gibbs_sub("unitality", 16, "oscillator").passed
+        # unitality reads exactly 0.0 on oscillator N=16 (T = I) and, at seed 0,
+        # on diag_growth N=32
+        cases = (("oscillator", 16), ("diag_growth", 32))
+        for preset, n in cases:
+            assert _gibbs_sub("unitality", n, preset).passed
         _plant(monkeypatch, "_trace_density", lambda n: 1e-12 * np.eye(n))
-        assert not _gibbs_sub("unitality", 16, "oscillator").passed
+        for preset, n in cases:
+            assert not _gibbs_sub("unitality", n, preset).passed
 
 
 def test_densities_are_formed_only_where_read(monkeypatch):

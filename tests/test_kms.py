@@ -261,30 +261,33 @@ def test_trace_cyclicity_along_regrouping(rng, jordan2):
 def test_verification_rows_structure(jordan2):
     x = np.diag([1.0, 0.0]).astype(complex)
     sf = strip(jordan2.system, jordan2.spectrum, x, x)
-    rows = kms.verification_rows(sf, [0.0, 1.0])
+    (rows,) = kms.verification_rows(sf, [0.0, 1.0])
     assert len(rows) == 2 and rows[0].t == 0.0
     assert all(r.res_real_boundary <= 1e-12 for r in rows)
     assert kms.KMS_COLUMNS == ("t", "f_real", "f_imag", "res_real_boundary", "res_shifted_boundary")
 
 
 def fresh_oracle_rows(sf, t_grid):
-    """Per-t dense reference: U_t and U_{-t} built fresh at every grid point,
-    alpha_t(Y) = U_t Y U_{-t}, and both boundary residuals from the trace factors."""
+    """Per-t dense reference: U_t and U_{-t} of the strip function's own family
+    built fresh at every grid point, alpha_t(Y) = U_t Y U_{-t}, and both boundary
+    residuals as tr(K E) = (E | K^H), one dot against each trace factor's adjoint."""
     state = sf.state
     lam, partition = state.spectrum.lambdas, state.partition
     c_op, cf, cf_inv = state.family
     boltz_c = cf * state.weights
     k_real = (boltz_c @ cf.conj().T) @ sf.x
     k_shift = (c_op @ c_op.conj().T) @ sf.x @ (boltz_c @ cf_inv)
+    k_real_h = np.ascontiguousarray(k_real.conj().T)
+    k_shift_h = np.ascontiguousarray(k_shift.conj().T)
     ts = np.asarray(t_grid, dtype=float)
     values = kms.strip_values(sf, np.concatenate([ts, ts + 1j * sf.beta]))
     rows = []
     for t, f_real, f_shift in zip(ts.tolist(), values[: ts.size], values[ts.size :]):
         u_fwd = (cf * np.exp(1j * t * lam)) @ cf_inv
         u_bwd = (cf * np.exp(1j * -t * lam)) @ cf_inv
-        evolved = (u_fwd @ sf.y @ u_bwd).T
-        rhs_real = np.sum(k_real * evolved) / partition
-        rhs_shift = np.sum(k_shift * evolved) / partition
+        evolved = u_fwd @ sf.y @ u_bwd
+        rhs_real = complex(np.vdot(k_real_h, evolved)) / partition
+        rhs_shift = complex(np.vdot(k_shift_h, evolved)) / partition
         rows.append(
             (t, float(f_real.real), float(f_real.imag),
              float(abs(f_real - rhs_real)), float(abs(f_shift - rhs_shift)))
@@ -294,10 +297,16 @@ def fresh_oracle_rows(sf, t_grid):
 
 DEFAULT_GRID = tuple(np.linspace(-10.0, 10.0, 41).tolist())
 
+#: the adjoint family's rows read alpha'_t(Y') = alpha_t(Y'^H)^H, whose products
+#: group differently from its own propagators': about 1e-15 of the row scale is
+#: seen on these grids, against a KMS tolerance of 1e-10 cond(T)^2 N
+ADJOINT_ROUNDOFF = 1e-13
+
 
 class TestDenseOracle:
-    """``verification_rows`` forms one propagator pair per mirror pair t, -t;
-    every row must equal the per-t dense reference."""
+    """``verification_rows`` forms one propagator pair per mirror pair t, -t and
+    serves the adjoint family's rows from it; every row must match the per-t
+    dense reference of its own family."""
 
     GRIDS = {
         "default_symmetric": DEFAULT_GRID,
@@ -313,16 +322,30 @@ class TestDenseOracle:
         system, spectrum = framed_shift_system(16, rng)
         x, y = random_observable(16, rng), random_observable(16, rng)
         sf = strip(system, spectrum, x, y, kind=kind)
+        # the adjoint family's strip function has observables of its own
+        x_adj, y_adj = random_observable(16, rng), random_observable(16, rng)
+        sf_adj = strip(system, spectrum, x_adj, y_adj, kind={"phi": "psi", "psi": "phi"}[kind])
         t_grid = self.GRIDS[grid]
-        rows = kms.verification_rows(sf, t_grid)
-        assert [tuple(r) for r in rows] == fresh_oracle_rows(sf, t_grid)
+        (alone,) = kms.verification_rows(sf, t_grid)
+        rows, rows_adj = kms.verification_rows(sf, t_grid, sf_adj)
+        # the propagators' own family: bit for bit, alone or paired
+        assert [tuple(r) for r in alone] == [tuple(r) for r in rows] == fresh_oracle_rows(sf, t_grid)
+        fresh_adj = fresh_oracle_rows(sf_adj, t_grid)
+        bound = ADJOINT_ROUNDOFF * max(abs(complex(r[1], r[2])) for r in fresh_adj)
+        for row, ref in zip(rows_adj, fresh_adj):
+            assert tuple(row[:3]) == ref[:3]
+            assert abs(row.res_real_boundary - ref[3]) <= bound
+            assert abs(row.res_shifted_boundary - ref[4]) <= bound
         # a signed zero keeps its sign in the t column
-        assert [np.signbit(r.t) for r in rows] == [np.signbit(t) for t in t_grid]
+        for out in (rows, rows_adj):
+            assert [np.signbit(r.t) for r in out] == [np.signbit(t) for t in t_grid]
 
     def test_mirror_pair_forms_its_propagators_once(self, rng, monkeypatch):
         system, spectrum = framed_shift_system(8, rng)
-        sf = strip(system, spectrum, random_observable(8, rng), random_observable(8, rng))
-        sf.state.boltzmann  # K_shift's e^{-beta H}, formed before the count starts
+        x, y = random_observable(8, rng), random_observable(8, rng)
+        sf, sf_psi = (strip(system, spectrum, x, y, kind=k) for k in ("phi", "psi"))
+        for s in (sf, sf_psi):
+            s.state.boltzmann  # K_shift's e^{-beta H}, formed before the count starts
         phases = []
         similarity = riesz.Family.similarity
 
@@ -331,8 +354,9 @@ class TestDenseOracle:
             return similarity(fam, g)
 
         monkeypatch.setattr(riesz.Family, "similarity", counting)
-        kms.verification_rows(sf, DEFAULT_GRID)
-        # U_t and U_{-t}, one similarity each, for 20 mirror pairs and t = 0
+        kms.verification_rows(sf, DEFAULT_GRID, sf_psi)
+        # U_t and U_{-t}, one similarity each, for 20 mirror pairs and t = 0,
+        # serve the rows of both states
         assert len(phases) == 42
         phases.clear()
         kms.verification_rows(sf, (-2.0, 0.5, 2.0, -0.5, 2.0, 0.0, -0.0))
@@ -340,6 +364,58 @@ class TestDenseOracle:
         assert len(phases) == 6
         formed = sorted(abs(np.angle(g[0])) for g in phases[::2])
         assert formed == pytest.approx([0.0, 0.5, 2.0], abs=1e-15)
+
+    def test_partner_must_be_the_adjoint_family(self, rng):
+        system, spectrum = framed_shift_system(8, rng)
+        x, y = random_observable(8, rng), random_observable(8, rng)
+        sf_phi, sf_psi, sf_f = (strip(system, spectrum, x, y, kind=k) for k in ("phi", "psi", "f"))
+        shifted = gibbs.Spectrum(lambdas=spectrum.lambdas + 1.0, beta=spectrum.beta)
+        # T is not unitary, so phi is not its own adjoint; f is not phi's either,
+        # and the psi family over other energies has other propagators
+        for partner in (sf_phi, sf_f, strip(system, shifted, x, y, kind="psi")):
+            with pytest.raises(ValueError, match="adjoint family"):
+                kms.verification_rows(sf_phi, (0.0, 1.0), partner)
+        with pytest.raises(ValueError, match="adjoint family"):
+            kms.verification_rows(sf_f, (0.0, 1.0), sf_psi)
+        # the frame family is its own adjoint, and phi and psi are each other's
+        assert len(kms.verification_rows(sf_f, (0.0, 1.0), sf_f)) == 2
+        assert len(kms.verification_rows(sf_psi, (0.0, 1.0), sf_phi)) == 2
+
+
+def test_check_kms_similarity_count():
+    # 21 propagator pairs for the 41-point grid, shared by both states, plus
+    # e^{-beta H} of each state; shift_half has no degenerate twist
+    inst = instance("shift_half", n=32)
+    calls = []
+    similarity = riesz.Family.similarity
+
+    def counting(fam, g):
+        calls.append(g)
+        return similarity(fam, g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(riesz.Family, "similarity", counting)
+        suites.check_kms(inst, 0, DEFAULT_GRID)
+    assert len(calls) == 44
+
+
+def test_degenerate_twist_probe_forms_only_propagators(monkeypatch):
+    # the probe evolves Y with the phi propagators and forms no generator
+    inst = instance("diag_sqrt", n=8)
+    lam = inst.spectrum.lambdas
+    calls = []
+    similarity = riesz.Family.similarity
+
+    def counting(fam, g):
+        calls.append(g)
+        return similarity(fam, g)
+
+    monkeypatch.setattr(riesz.Family, "similarity", counting)
+    result = suites.check_kms(inst, 0, (0.0, 1.5, -1.5))
+    assert "degenerate_twist" in [s.name for s in result.subchecks]
+    assert not any(np.array_equal(g, lam) for g in calls)
+    # 2 pairs for the grid, e^{-beta H} of both states, U_{+-t} at 3 probe times
+    assert len(calls) == 4 + 2 + 6
 
 
 def test_check_kms_forms_the_phi_boltzmann_operator_once(monkeypatch):

@@ -3,7 +3,7 @@ import gc
 import numpy as np
 import pytest
 
-from rieszgibbs import entropy, kms, models, numerics
+from rieszgibbs import entropy, kms, models, numerics, riesz
 from rieszgibbs.errors import BadModel
 
 
@@ -127,13 +127,16 @@ class TestInstantiate:
             models.instantiate(spec)
 
     def test_one_condition_number_per_instance(self, monkeypatch):
-        # cond(T) comes from the one SVD that build_system's inverse check takes
+        # cond(T) and sigma_min(T) come from the one SVD that build_system's inverse check takes
         calls = []
         original = numerics.cond
         monkeypatch.setattr(numerics, "cond", lambda a: calls.append(a) or original(a))
         inst = models.instantiate(models.preset("shift_half", n=16))
         assert len(calls) == 1
-        assert inst.meta["cond_t"] == inst.system.cond_t == original(inst.system.t_op)
+        cond_t, sigma_min_t = original(inst.system.t_op)
+        assert inst.meta["cond_t"] == inst.system.cond_t == cond_t
+        # sigma_min(T) comes from the same SVD
+        assert inst.system.sigma_min_t == sigma_min_t
 
     def test_ill_conditioned_explicit_t_rejected(self):
         spec = models.ModelSpec(
@@ -200,6 +203,19 @@ class TestSweeps:
         rows = models.convergence_sweep(models.preset("jordan2"), [2])
         assert rows[0].bio_residual <= 1e-12
         assert rows[0].kms_residual <= 1e-12
+
+    def test_row_reads_the_build_pair_deviation(self, monkeypatch):
+        # the biorthogonality column is the deviation build_system measured
+        calls = []
+        real = riesz.verify_biorthogonality
+        # a by-name import in models would bypass the patch on riesz alone
+        for module in (riesz, models):
+            monkeypatch.setattr(
+                module, "verify_biorthogonality", lambda s: calls.append(s) or real(s), raising=False
+            )
+        row = models.convergence_sweep(models.preset("shift_half"), [8])[0]
+        assert len(calls) == 1
+        assert row.bio_residual == real(calls[0])
 
     def test_row_forms_only_the_families_it_evaluates(self, monkeypatch):
         # Zpsi reads the psi columns off the system: forming the psi family

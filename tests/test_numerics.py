@@ -100,15 +100,18 @@ class TestAbsOfAdjoint:
 class TestInverseTraceInner:
     def test_inverse_closed_form(self):
         a = np.array([[1, 1], [0, 1]], dtype=complex)
-        inv, cond = numerics.inverse(a)
+        inv, cond, sigma_min = numerics.inverse(a)
         np.testing.assert_allclose(inv, [[1, -1], [0, 1]], atol=1e-15)
         # golden ratio squared: sigma_max / sigma_min of the Jordan block
         assert cond == pytest.approx((3.0 + np.sqrt(5.0)) / 2.0, rel=1e-14)
+        # sigma_min is the inverse golden ratio
+        assert sigma_min == pytest.approx((np.sqrt(5.0) - 1.0) / 2.0, rel=1e-14)
 
     def test_inverse_residual(self, rng):
         a = np.eye(12) + 0.3 * (rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
-        inv, cond = numerics.inverse(a)
-        assert cond == numerics.cond(a)
+        inv, cond, sigma_min = numerics.inverse(a)
+        assert (cond, sigma_min) == numerics.cond(a)
+        assert sigma_min == pytest.approx(1.0 / np.linalg.norm(inv, 2), rel=1e-12)
         assert numerics.frobenius(a @ inv - np.eye(12)) <= 1e-12 * cond
 
     def test_singular_refused(self):
