@@ -43,13 +43,14 @@ for terms in (5, 20, 80, 200):
     print(f"  {terms:4d} terms: ||series - T log(rho0) T^-1||_F = {err:.3e}")
 
 print("\n=== summability of sum e^(-gamma lambda_n) for three growth laws ===")
+n = np.arange(256.0)
 cases = [
-    ("lambda_n = n + 1", lambda n: n + 1.0, 1.0),
-    ("lambda_n = log(n+2)", lambda n: np.log(n + 2.0), 1.0),
-    ("lambda_n = (n+1)^2", lambda n: (n + 1.0) ** 2, 0.1),
+    ("lambda_n = n + 1", n + 1.0, 1.0),
+    ("lambda_n = log(n+2)", np.log(n + 2.0), 1.0),
+    ("lambda_n = (n+1)^2", (n + 1.0) ** 2, 0.1),
 ]
-for label, fn, gamma in cases:
-    rows = summability_report(fn, gammas=[gamma], n_values=[16, 64, 256])
+for label, lambdas, gamma in cases:
+    rows = summability_report(lambdas, gammas=[gamma], n_values=[16, 64, 256])
     last = rows[-1]
     print(
         f"  {label:22s} gamma={gamma}: partial sum = {last.partial_sum_0:12.6f}, "

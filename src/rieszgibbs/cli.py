@@ -26,7 +26,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -35,35 +35,30 @@ import numpy as np
 from . import entropy as entropy_mod
 from . import kms as kms_mod
 from . import models, suites
-from .errors import BadModel, ConfigError, RieszGibbsError, UnknownCheck
+from .errors import BadModel, ConfigError, RieszGibbsError
 from .models import ModelSpec
 
 logger = logging.getLogger("rieszgibbs")
 
 DEFAULT_T_GRID = tuple(np.linspace(-10.0, 10.0, 41))
 
-_LAMBDA_KEYS = {
-    "linear": {"rule", "offset", "slope"},
-    "power": {"rule", "exponent", "scale"},
-    "log": {"rule", "scale", "shift"},
-    "explicit": {"rule", "values"},
-}
-_T_KEYS = {
-    "identity": {"rule"},
-    "diagonal": {"rule", "exponent", "values"},
-    "shift_perturbed": {"rule", "epsilon"},
-    "exp_generator": {"rule", "scale"},
-    "explicit": {"rule", "values"},
-}
+#: what a rule parameter of each nesting depth in ``models.LAMBDA_RULES`` and
+#: ``models.T_RULES`` must be
+_SHAPES = (
+    "a finite number",
+    "a list of finite numbers",
+    "a list of equally long lists of finite numbers",
+)
+
 
 @dataclass(frozen=True)
 class RunConfig:
     model: ModelSpec
-    checks: tuple[str, ...] = tuple(suites.CHECKS)
-    tolerances: Mapping[str, float] = field(default_factory=dict)
-    output_dir: str = "out"
-    seed: int = 0
-    t_grid: tuple[float, ...] = DEFAULT_T_GRID
+    checks: tuple[str, ...]
+    tolerances: Mapping[str, float]
+    output_dir: str
+    seed: int
+    t_grid: tuple[float, ...]
 
 
 def _require_keys(section: str, data: Mapping, allowed: set[str], required: set[str]) -> None:
@@ -75,21 +70,35 @@ def _require_keys(section: str, data: Mapping, allowed: set[str], required: set[
         raise ConfigError(f"missing key(s) in {section}: {sorted(missing)}")
 
 
-def _validate_rule(section: str, rule: Mapping, table: Mapping[str, set[str]]) -> dict:
-    if not isinstance(rule, Mapping):
-        raise ConfigError(f"{section} must be an object")
-    kind = rule.get("rule")
-    if kind not in table:
-        raise ConfigError(f"{section}.rule must be one of {sorted(table)}, got {kind!r}")
-    _require_keys(section, rule, table[kind], {"rule"})
-    return dict(rule)
-
-
 def _is_number(value) -> bool:
     """A finite JSON number: int or float, never a boolean, NaN, infinity or an
     integer beyond double range."""
     finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return finite and not isinstance(value, bool)
+
+
+def _is_numbers(value, depth: int) -> bool:
+    """Does ``value`` have the shape ``_SHAPES[depth]`` names?"""
+    if depth == 0:
+        return _is_number(value)
+    if not isinstance(value, list) or not all(_is_numbers(v, depth - 1) for v in value):
+        return False
+    return depth == 1 or len({len(row) for row in value}) <= 1
+
+
+def _validate_rule(section: str, rule: Mapping, table: Mapping[str, Mapping[str, int]]) -> dict:
+    """A rule object with known keys whose values have the shapes ``table`` gives."""
+    if not isinstance(rule, Mapping):
+        raise ConfigError(f"{section} must be an object")
+    kind = rule.get("rule")
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"{section}.rule must be one of {sorted(table)}, got {kind!r}")
+    params = table[kind]
+    _require_keys(section, rule, {"rule", *params}, {"rule"})
+    for key, depth in params.items():
+        if key in rule and not _is_numbers(rule[key], depth):
+            raise ConfigError(f"{section}.{key} must be {_SHAPES[depth]}")
+    return dict(rule)
 
 
 def _model_n(n) -> int:
@@ -120,8 +129,8 @@ def _parse_model(data: Mapping, seed: int) -> ModelSpec:
         name=str(data.get("name", "custom")),
         n=_model_n(data["N"]),
         beta=_model_beta(data["beta"]),
-        lambda_rule=_validate_rule("model.lambda", data["lambda"], _LAMBDA_KEYS),
-        t_rule=_validate_rule("model.T", data["T"], _T_KEYS),
+        lambda_rule=_validate_rule("model.lambda", data["lambda"], models.LAMBDA_RULES),
+        t_rule=_validate_rule("model.T", data["T"], models.T_RULES),
         seed=seed,
     )
 
@@ -285,7 +294,7 @@ def cmd_verify(config: RunConfig, timestamp: bool = True) -> int:
             cap = len(config.model.lambda_rule["values"])
             n_values = sorted({n for n in n_values if n <= cap} | {cap})
         rows = entropy_mod.summability_report(
-            models.lambda_fn(config.model.lambda_rule),
+            models.lambda_values(config.model.lambda_rule, max(n_values)),
             gammas=(0.5, config.model.beta, 2.0 * config.model.beta),
             n_values=n_values,
         )
@@ -323,27 +332,24 @@ def cmd_sweep(
     return 0
 
 
-def cmd_explain(name: str | None, list_all: bool = False, stream=None) -> int:
-    stream = stream or sys.stdout
+def cmd_explain(name: str | None, list_all: bool = False) -> int:
     if list_all or name is None:
         names = list(suites.CHECKS)
     elif name in suites.CHECKS:
         names = [name]
     else:
-        raise UnknownCheck(f"unknown check {name!r}; known: {list(suites.CHECKS)}")
+        raise ConfigError(f"unknown check {name!r}; known: {list(suites.CHECKS)}")
     for key in names:
         doc = suites.CHECKS[key].__doc__ or "unavailable, docstrings stripped by python -OO"
-        print(f"{key}: {' '.join(doc.split())}", file=stream)
+        print(f"{key}: {' '.join(doc.split())}")
     return 0
 
 
-def cmd_catalog(stream=None) -> int:
-    stream = stream or sys.stdout
+def cmd_catalog() -> int:
     for name, spec in sorted(models.catalog().items()):
         print(
             f"{name}: N={spec.n} beta={spec.beta} "
-            f"lambda={spec.lambda_rule['rule']} T={spec.t_rule['rule']}",
-            file=stream,
+            f"lambda={spec.lambda_rule['rule']} T={spec.t_rule['rule']}"
         )
     return 0
 
@@ -402,7 +408,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "catalog":
             return cmd_catalog()
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, BadModel, UnknownCheck) as exc:
+    except (ConfigError, BadModel) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except RieszGibbsError as exc:

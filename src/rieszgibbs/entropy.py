@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -131,25 +131,20 @@ _CONVERGED_REL = 1e-12
 
 
 def summability_report(
-    lambda_fn: Callable[[np.ndarray], np.ndarray],
-    gammas: Sequence[float],
-    n_values: Sequence[int],
+    lambdas: Sequence[float], gammas: Sequence[float], n_values: Sequence[int]
 ) -> list[SummabilityRow]:
     """Partial sums of sum e^{-gamma lambda_n} and sum lambda_n e^{-gamma lambda_n}.
 
-    For each gamma and truncation N the row reports both partial sums, the
-    ratio of the last two retained weights and a convergence flag: converged
-    means the geometric tail estimate term * r/(1-r) of both series has
-    dropped below 1e-12 of the partial sum.  Ratios creeping toward 1 (e.g.
-    logarithmic spectra at small gamma) never converge and are thereby
-    flagged as non-decaying.
+    ``lambdas`` holds lambda_0 .. lambda_{M-1} with M >= max(n_values), e.g.
+    ``models.lambda_values(rule, M)``.  For each gamma and truncation N the
+    row reports both partial sums, the ratio of the last two retained weights
+    and a convergence flag: converged means the geometric tail estimate
+    term * r/(1-r) of both series has dropped below 1e-12 of the partial sum.
+    Ratios creeping toward 1 (e.g. logarithmic spectra at small gamma) never
+    converge and are thereby flagged as non-decaying.
     """
     rows: list[SummabilityRow] = []
-    n_max = max(n_values)
-    idx = np.arange(n_max)
-    lam = np.asarray(lambda_fn(idx), dtype=float)
-    if lam.shape != idx.shape:
-        raise ValueError("lambda_fn must map index arrays elementwise")
+    lam = np.asarray(lambdas, dtype=float)
     for gamma in gammas:
         with np.errstate(over="ignore"):
             w = np.exp(-gamma * lam)

@@ -35,7 +35,3 @@ class BadModel(RieszGibbsError):
 
 class ConfigError(RieszGibbsError):
     """Run configuration violates the strict schema."""
-
-
-class UnknownCheck(RieszGibbsError):
-    """Requested check name is not in the catalog."""

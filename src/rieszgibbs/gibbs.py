@@ -123,9 +123,6 @@ class GibbsState:
     # Boltzmann weights e^{-beta lambda_n}
     weights: NDArray[np.float64] = field(repr=False)
 
-    def __call__(self, x: CMatrix) -> complex:
-        return omega_sum(self, x)
-
     @cached_property
     def trace_density_h(self) -> CMatrix:
         """rho^H, the adjoint of the density rho with omega(X) = tr(rho X)."""

@@ -27,8 +27,8 @@ systems across runs and thread counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass, replace
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,10 +44,6 @@ from .gibbs import (
 from .numerics import CMatrix
 from .riesz import RieszSystem, build_system
 
-LAMBDA_RULES = ("linear", "power", "log", "explicit")
-T_RULES = ("identity", "diagonal", "shift_perturbed", "exp_generator", "explicit")
-OBSERVABLE_NAMES = ("identity", "ground_projector")
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -56,9 +52,19 @@ class ModelSpec:
     name: str
     n: int
     beta: float
-    lambda_rule: Mapping = field(default_factory=lambda: {"rule": "linear"})
-    t_rule: Mapping = field(default_factory=lambda: {"rule": "identity"})
+    lambda_rule: Mapping
+    t_rule: Mapping
     seed: int = 0
+
+
+#: parameters each spectrum rule reads besides "rule", with the nesting depth
+#: of their values: 0 for a number, 1 for a list of numbers
+LAMBDA_RULES = {
+    "linear": {"offset": 0, "slope": 0},
+    "power": {"exponent": 0, "scale": 0},
+    "log": {"scale": 0, "shift": 0},
+    "explicit": {"values": 1},
+}
 
 
 def _lambda_on_indices(rule: Mapping, idx: np.ndarray) -> np.ndarray:
@@ -83,15 +89,6 @@ def lambda_values(rule: Mapping, n: int, offset: int = 0) -> np.ndarray:
     return _lambda_on_indices(rule, np.arange(offset, offset + n, dtype=float))
 
 
-def lambda_fn(rule: Mapping):
-    """Vectorized n -> lambda_n map for summability reports."""
-
-    def fn(idx: np.ndarray) -> np.ndarray:
-        return _lambda_on_indices(rule, np.asarray(idx, dtype=float))
-
-    return fn
-
-
 def _taylor_expm(g: CMatrix) -> CMatrix:
     """exp(G) by scaling-and-squaring with a Taylor core.
 
@@ -111,6 +108,17 @@ def _taylor_expm(g: CMatrix) -> CMatrix:
     for _ in range(squarings):
         result = result @ result
     return result
+
+
+#: parameters each constructing-operator rule reads besides "rule", with the
+#: nesting depth of their values as in LAMBDA_RULES (2 for a list of lists)
+T_RULES = {
+    "identity": {},
+    "diagonal": {"exponent": 0, "values": 1},
+    "shift_perturbed": {"epsilon": 0},
+    "exp_generator": {"scale": 0},
+    "explicit": {"values": 2},
+}
 
 
 def _diagonal_entries(rule: Mapping, n: int) -> np.ndarray:
@@ -286,17 +294,6 @@ def preset(name: str, n: int | None = None, beta: float | None = None, seed: int
     return spec
 
 
-def observable_matrix(name: str, n: int) -> CMatrix:
-    """Named observables that make sense at every dimension."""
-    if name == "identity":
-        return np.eye(n, dtype=complex)
-    if name == "ground_projector":
-        p = np.zeros((n, n), dtype=complex)
-        p[0, 0] = 1.0
-        return p
-    raise BadModel(f"unknown observable {name!r}; known: {OBSERVABLE_NAMES}")
-
-
 def random_unitary(n: int, rng: np.random.Generator) -> CMatrix:
     """Haar-ish unitary from the QR of a complex Gaussian matrix."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -304,13 +301,9 @@ def random_unitary(n: int, rng: np.random.Generator) -> CMatrix:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_observable(
-    n: int, rng: np.random.Generator, hermitian: bool = False
-) -> CMatrix:
+def random_observable(n: int, rng: np.random.Generator) -> CMatrix:
     """Unit-Frobenius random observable."""
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    if hermitian:
-        a = 0.5 * (a + a.conj().T)
     return a / np.linalg.norm(a, "fro")
 
 
@@ -356,8 +349,9 @@ def _sweep_row(spec: ModelSpec, axis_value: float, prev: SweepRow | None) -> Swe
     system, spectrum = inst.system, inst.spectrum
     z = partition_constants(system, spectrum)
     state = gibbs_state(system, spectrum, "phi")
-    omega_id = omega_sum(state, observable_matrix("identity", spec.n)).real
-    ground = observable_matrix("ground_projector", spec.n)
+    omega_id = omega_sum(state, np.eye(spec.n, dtype=complex)).real
+    ground = np.zeros((spec.n, spec.n), dtype=complex)
+    ground[0, 0] = 1.0
     omega_ground = omega_sum(state, ground).real
     # only S_rho is read: the pair's four N x N arrays go before the KMS peak
     s_rho = entropy_mod.entropy_generalized(

@@ -187,7 +187,7 @@ def commuting_flow_residual(
     """
     beta = ham.spectrum.beta
     abs_t = numerics.abs_of_adjoint(ham.system.t_op)
-    abs_eig = numerics.herm_eig(abs_t, check=False)
+    abs_eig = numerics.herm_eig(abs_t)
     phases = np.exp((2j * t / beta) * np.log(abs_eig.values.astype(complex)))
     twist = (abs_eig.vectors * phases) @ numerics.dagger(abs_eig.vectors)
     rhs = twist @ modular_flow(md, -t / beta, x) @ numerics.dagger(twist)

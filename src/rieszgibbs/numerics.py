@@ -72,7 +72,7 @@ class HermitianEig:
     vectors: CMatrix
 
 
-def herm_eig(a: CMatrix, check: bool = True) -> HermitianEig:
+def herm_eig(a: CMatrix) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix.
 
     Raises NotHermitian if the input is farther than HERM_TOL (relative,
@@ -80,7 +80,7 @@ def herm_eig(a: CMatrix, check: bool = True) -> HermitianEig:
     fails or misses its reconstruction/unitarity contract.
     """
     a = as_operator(a)
-    if check and hermiticity_defect(a) > HERM_TOL:
+    if hermiticity_defect(a) > HERM_TOL:
         raise NotHermitian(
             f"relative Hermiticity defect {hermiticity_defect(a):.3e} exceeds {HERM_TOL:.0e}"
         )
@@ -146,7 +146,7 @@ def abs_of_adjoint(a: CMatrix) -> CMatrix:
     """|A^H| = (A A^H)^{1/2}, a positive semidefinite Hermitian matrix."""
     a = as_operator(a)
     gram = a @ dagger(a)
-    eig = herm_eig(gram, check=False)
+    eig = herm_eig(gram)
     roots = np.sqrt(np.clip(eig.values, 0.0, None))
     return eig.vectors @ np.diag(roots) @ dagger(eig.vectors)
 
@@ -162,7 +162,3 @@ def hs_inner(s: CMatrix, t: CMatrix) -> complex:
     if s.shape != t.shape:
         raise ValueError(f"shape mismatch {s.shape} vs {t.shape}")
     return complex(np.vdot(t, s))
-
-
-def hs_norm(s: CMatrix) -> float:
-    return float(np.sqrt(hs_inner(s, s).real))

@@ -12,7 +12,7 @@ making each group's result independent of which other groups run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -50,7 +50,7 @@ class GroupResult:
     passed: bool
     subchecks: tuple[SubCheck, ...]
     #: per-grid-point rows the group certified, keyed by state family (kms only)
-    rows: Mapping[str, list[km.KmsRow]] = field(default_factory=dict)
+    rows: Mapping[str, list[km.KmsRow]]
 
 
 def _group_rng(seed: int, group: str) -> np.random.Generator:
@@ -329,7 +329,7 @@ def check_modular(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> Gr
     data = md.modular_data(omegas["phi"])
     tol = md.modular_tolerance(data.cond_omega)
 
-    r_norm = max(abs(numerics.hs_norm(o) - 1.0) for o in omegas.values())
+    r_norm = max(abs(numerics.frobenius(o) - 1.0) for o in omegas.values())
     r_tomita = r_state = r_j = r_flowstar = r_vecflow = 0.0
     r_pos = 0.0
     for _ in range(N_OBSERVABLES):
@@ -338,7 +338,7 @@ def check_modular(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> Gr
         w = models.random_observable(n, rng)
         r_tomita = max(
             r_tomita,
-            numerics.hs_norm(
+            numerics.frobenius(
                 md.tomita_s(data, x @ data.omega) - numerics.dagger(x) @ data.omega
             ),
         )
@@ -355,7 +355,7 @@ def check_modular(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> Gr
         )
         dv = md.delta_apply(data, v)
         val = numerics.hs_inner(dv, v)
-        r_pos = max(r_pos, max(0.0, -val.real) / max(numerics.hs_norm(v) ** 2, 1e-30))
+        r_pos = max(r_pos, max(0.0, -val.real) / max(numerics.frobenius(v) ** 2, 1e-30))
         t_probe = 0.8
         r_flowstar = max(
             r_flowstar,
@@ -366,7 +366,7 @@ def check_modular(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> Gr
         )
         r_vecflow = max(
             r_vecflow,
-            numerics.hs_norm(
+            numerics.frobenius(
                 md.modular_flow(data, t_probe, x @ data.omega)
                 - md.modular_flow(data, t_probe, x) @ data.omega
             ),

@@ -201,10 +201,10 @@ def test_criterion_08_modular(rng):
         state = gibbs.gibbs_state(inst.system, inst.spectrum, "phi")
         md = modular.modular_data(modular.omega_vector(state))
         tol_s = 1e-10 * md.cond_omega**2
-        worst_norm = max(worst_norm, abs(numerics.hs_norm(md.omega) - 1.0))
+        worst_norm = max(worst_norm, abs(numerics.frobenius(md.omega) - 1.0))
         for _ in range(50):
             x = random_observable(dim, rng)
-            dev = numerics.hs_norm(
+            dev = numerics.frobenius(
                 modular.tomita_s(md, x @ md.omega) - x.conj().T @ md.omega
             )
             worst_s = max(worst_s, dev / tol_s)

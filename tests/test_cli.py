@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rieszgibbs import cli, gibbs, kms, models, suites
-from rieszgibbs.errors import ConfigError, UnknownCheck
+from rieszgibbs.errors import ConfigError
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -156,6 +156,32 @@ class TestConfigValidation:
             },
         )
         assert cli.main(["verify", "--config", config, "--no-timestamp"]) == 0
+
+    @pytest.mark.parametrize(
+        "section, rule",
+        [
+            ("lambda", {"rule": "linear", "offset": "x"}),
+            ("lambda", {"rule": "explicit", "values": "abc"}),
+            ("T", {"rule": "diagonal", "values": "ab"}),
+            ("T", {"rule": "explicit", "values": [[1, 0], [0, "x"]]}),
+            ("T", {"rule": "exp_generator", "scale": None}),
+            ("lambda", {"rule": "linear", "slope": True}),
+            ("lambda", {"rule": "explicit", "values": [1, True, 3, 4]}),
+            ("T", {"rule": "shift_perturbed", "epsilon": "0.5"}),
+            ("T", {"rule": "explicit", "values": [[1, 0], [0]]}),
+            ("lambda", {"rule": ["linear"]}),
+        ],
+        ids=["offset_string", "values_string", "diagonal_values_string", "matrix_entry_string",
+             "scale_null", "slope_bool", "values_bool", "epsilon_string", "ragged_matrix",
+             "rule_list"],
+    )
+    def test_bad_rule_value_exits_3(self, tmp_path, capsys, section, rule):
+        model = {"N": 2, "beta": 1.0, "lambda": {"rule": "linear"}, "T": {"rule": "identity"}}
+        model[section] = rule
+        data = {"model": model, "output_dir": str(tmp_path / "out")}
+        assert cli.main(["verify", "--config", write_config(tmp_path, data)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: model.{section}")
+        assert not (tmp_path / "out").exists()
 
 
 class TestVerifyCommand:
@@ -368,7 +394,7 @@ class TestExplainAndCatalog:
             assert name in out
 
     def test_unknown_check_exception_type(self):
-        with pytest.raises(UnknownCheck):
+        with pytest.raises(ConfigError):
             cli.cmd_explain("bogus")
 
 

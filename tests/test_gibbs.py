@@ -208,9 +208,9 @@ def test_psi_duality_fails_without_the_dual_route(monkeypatch):
     assert not psi_duality().passed
 
 
-def test_state_is_callable(jordan2):
+def test_state_is_unital(jordan2):
     state = gibbs.gibbs_state(jordan2.system, jordan2.spectrum, "phi")
-    assert state(np.eye(2)) == pytest.approx(1.0, abs=1e-14)
+    assert gibbs.omega_sum(state, np.eye(2)) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestObservableShape:

@@ -34,10 +34,6 @@ class TestLambdaRules:
         with pytest.raises(BadModel):
             models.lambda_values({"rule": "cubic"}, 2)
 
-    def test_lambda_fn_matches_values(self):
-        fn = models.lambda_fn({"rule": "power", "exponent": 0.5})
-        np.testing.assert_allclose(fn(np.arange(5)), models.lambda_values({"rule": "power", "exponent": 0.5}, 5))
-
 
 class TestConstructingOperators:
     def test_identity(self):
@@ -122,6 +118,7 @@ class TestInstantiate:
             n=2,
             beta=1.0,
             lambda_rule={"rule": "explicit", "values": [0.0, 1.0]},
+            t_rule={"rule": "identity"},
         )
         with pytest.raises(BadModel, match="strictly positive"):
             models.instantiate(spec)
@@ -143,6 +140,7 @@ class TestInstantiate:
             name="bad",
             n=2,
             beta=1.0,
+            lambda_rule={"rule": "linear"},
             t_rule={"rule": "explicit", "values": [[1.0, 0.0], [0.0, 1e-13]]},
         )
         with pytest.raises(BadModel, match="ill-conditioned"):
@@ -158,15 +156,6 @@ class TestInstantiate:
 
 
 class TestObservables:
-    def test_named_matrices(self):
-        np.testing.assert_array_equal(models.observable_matrix("identity", 3), np.eye(3))
-        ground = models.observable_matrix("ground_projector", 3)
-        assert ground[0, 0] == 1.0 and np.count_nonzero(ground) == 1
-
-    def test_unknown_name(self):
-        with pytest.raises(BadModel):
-            models.observable_matrix("momentum", 3)
-
     def test_random_unitary_is_unitary(self, rng):
         u = models.random_unitary(7, rng)
         assert numerics.frobenius(u.conj().T @ u - np.eye(7)) <= 1e-13
@@ -174,8 +163,6 @@ class TestObservables:
     def test_random_observable_norm(self, rng):
         x = models.random_observable(5, rng)
         assert np.linalg.norm(x, "fro") == pytest.approx(1.0)
-        h = models.random_observable(5, rng, hermitian=True)
-        assert numerics.hermiticity_defect(h) <= 1e-15
 
 
 class TestSweeps:

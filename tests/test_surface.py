@@ -10,6 +10,12 @@ tests call is dead code.
 Likewise every annotated field of a dataclass or ``NamedTuple`` is read as
 ``obj.<field>`` somewhere in the package or the demos; a field nothing reads
 is dead data that each constructor still has to fill.
+
+And every defaulted parameter of a public function, public method or record
+constructor is set, by keyword or by position, by some call in the package or
+the demos: a switch no caller sets is a second code path that only tests run.
+A record field's default is also left to its default by some constructor call:
+a default every call overrides is a second copy of the callers' value.
 """
 
 import ast
@@ -62,8 +68,10 @@ def _bindings(tree, modules, in_package):
     return out
 
 
-def _scan():
-    """(public definitions, resolved uses), both as sets of (module, name)."""
+def _package():
+    """Parsed package modules by name, the names each defines at top level,
+    every source (package modules and demos) with its import bindings, and a
+    resolver from a load in a source to the definition it names."""
     files = {
         path.stem if path.stem != "__init__" else "": _parse(path)
         for path in sorted((ROOT / "src" / PACKAGE).glob("*.py"))
@@ -87,31 +95,45 @@ def _scan():
             return resolve(bound[1], bound[2])
         return None
 
-    public = {
-        (mod, name) for mod in modules for name in defs[mod] if not name.startswith("_")
-    }
     sources = [(mod, tree, binds[mod]) for mod, tree in files.items()]
     for path in sorted((ROOT / "demos").glob("*.py")):
         tree = _parse(path)
         sources.append((None, tree, _bindings(tree, modules, False)))
 
-    uses = set()
+    def target(node, mod, bound):
+        """The (module, name) definition a ``Name`` or ``module.attr`` load refers to."""
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if mod is not None and node.id in defs[mod]:
+                return (mod, node.id)
+            if node.id in bound and bound[node.id][0] == "name":
+                return resolve(bound[node.id][1], bound[node.id][2])
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            holder = bound.get(node.value.id)
+            if holder and holder[0] == "module":
+                return resolve(holder[1], node.attr)
+        return None
+
+    return files, defs, sources, target
+
+
+def _walk_sources(sources):
+    """(module, source bindings, owning top-level definition, node) for every node."""
     for mod, tree, bound in sources:
         for stmt in tree.body:
             own = (mod, stmt.name) if mod is not None and hasattr(stmt, "name") else None
             for node in ast.walk(stmt):
-                target = None
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    if mod is not None and node.id in defs[mod]:
-                        target = (mod, node.id)
-                    elif node.id in bound and bound[node.id][0] == "name":
-                        target = resolve(bound[node.id][1], bound[node.id][2])
-                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                    holder = bound.get(node.value.id)
-                    if holder and holder[0] == "module":
-                        target = resolve(holder[1], node.attr)
-                if target is not None and target != own:
-                    uses.add(target)
+                yield mod, bound, own, node
+
+
+def _scan():
+    """(public definitions, resolved uses), both as sets of (module, name)."""
+    _, defs, sources, target = _package()
+    public = {(mod, name) for mod in defs if mod for name in defs[mod] if not name.startswith("_")}
+    uses = set()
+    for mod, bound, own, node in _walk_sources(sources):
+        found = target(node, mod, bound)
+        if found is not None and found != own:
+            uses.add(found)
     return public, uses
 
 
@@ -180,3 +202,110 @@ def test_every_record_field_is_read():
 def test_positional_records_exist():
     records = {(mod, cls) for mod, cls, _ in _record_fields()}
     assert set(POSITIONAL_RECORDS) <= records
+
+
+#: defaulted parameters no call in src/ or demos/ sets, each with the reason it stays
+UNSET_ALLOWED = {
+    ("cli", "main", "argv"): "the entry point: tests and perfbench/worker.py pass argv",
+}
+
+
+def _defaulted(args, skip_self):
+    """(position, or None for keyword-only, and name) of each defaulted parameter."""
+    pos = (args.posonlyargs + args.args)[1 if skip_self else 0 :]
+    first = len(pos) - len(args.defaults)
+    out = [(i, a.arg) for i, a in enumerate(pos) if i >= first]
+    return out + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def _record_defaulted(node):
+    """(position, name) of each defaulted constructor parameter of a record;
+    a ``field(init=False)`` is no parameter."""
+    params = []
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        value, default = stmt.value, stmt.value is not None
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            kw = {k.arg: k.value for k in value.keywords}
+            if isinstance(kw.get("init"), ast.Constant) and kw["init"].value is False:
+                continue
+            default = "default" in kw or "default_factory" in kw
+        params.append((stmt.target.id, default))
+    return [(i, name) for i, (name, default) in enumerate(params) if default]
+
+
+def _signatures(files):
+    """Defaulted parameters of every public callable: functions and record
+    constructors by (module, name), methods by name alone (a call
+    ``obj.method(...)`` does not say which class it reaches), and the records."""
+    callables, methods, records = {}, {}, set()
+    for mod, tree in files.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                callables[(mod, node.name)] = _defaulted(node.args, skip_self=False)
+                continue
+            if _is_record(node):
+                records.add((mod, node.name))
+                callables[(mod, node.name)] = _record_defaulted(node)
+            for stmt in node.body:
+                if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in stmt.decorator_list)
+                    methods.setdefault(stmt.name, []).append(
+                        ((mod, f"{node.name}.{stmt.name}"), _defaulted(stmt.args, not static))
+                    )
+    return callables, methods, records
+
+
+def _passed(call, params):
+    """Names among ``params`` that ``call`` sets; ``*args`` or ``**kwargs`` set them all."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return {name for _, name in params}
+    keys = {k.arg for k in call.keywords}
+    return {name for i, name in params if name in keys or (i is not None and i < len(call.args))}
+
+
+def _switch_scan():
+    """(every defaulted parameter, the ones some call sets, the record defaults,
+    the record defaults some constructor call leaves unset), each a set of
+    (module, qualified name, parameter).  A function's calls to itself do not count."""
+    files, _, sources, target = _package()
+    callables, methods, records = _signatures(files)
+    defaulted = {(*key, name) for key, params in callables.items() for _, name in params}
+    defaulted |= {(*key, name) for found in methods.values() for key, params in found for _, name in params}
+    given, left = set(), set()
+    for mod, bound, own, node in _walk_sources(sources):
+        if not isinstance(node, ast.Call):
+            continue
+        key = target(node.func, mod, bound)
+        if key in callables and key != own:
+            passed = _passed(node, callables[key])
+            given |= {(*key, name) for name in passed}
+            if key in records:
+                left |= {(*key, name) for _, name in callables[key] if name not in passed}
+        elif key is None and isinstance(node.func, ast.Attribute):
+            for method, params in methods.get(node.func.attr, ()):
+                given |= {(*method, name) for name in _passed(node, params)}
+    record_defaults = {k for k in defaulted if k[:2] in records}
+    return defaulted, given, record_defaults, left
+
+
+def test_every_switch_is_set():
+    defaulted, given, _, _ = _switch_scan()
+    unset = sorted(".".join(k) for k in defaulted - given - set(UNSET_ALLOWED))
+    assert unset == [], f"defaulted parameters no call in src/ or demos/ sets: {unset}"
+
+
+def test_unset_allowed_exist_and_are_still_unset():
+    # an allowed parameter that gains a caller, or goes, leaves the list
+    defaulted, given, _, _ = _switch_scan()
+    for key in UNSET_ALLOWED:
+        assert key in defaulted and key not in given, key
+
+
+def test_every_record_default_is_used():
+    _, _, record_defaults, left = _switch_scan()
+    overridden = sorted(".".join(k) for k in record_defaults - left)
+    assert overridden == [], f"record defaults every constructor call overrides: {overridden}"
