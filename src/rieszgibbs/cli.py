@@ -10,10 +10,9 @@ sweep    : run the convergence sweep over truncation dimensions or inverse
 explain  : print the identity a named check certifies (the math-to-code map).
 catalog  : list the built-in model families.
 
-The JSON run configuration is strictly validated: unknown keys are rejected,
-and tolerance overrides may only loosen a check group, never push it below
-its documented floor.  With ``--no-timestamp`` all outputs are byte-identical
-for a fixed config and seed.
+The JSON run configuration is strictly validated: unknown keys are rejected.
+With ``--no-timestamp`` all outputs are byte-identical for a fixed config and
+seed.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +40,9 @@ from .models import ModelSpec
 logger = logging.getLogger("rieszgibbs")
 
 DEFAULT_T_GRID = tuple(np.linspace(-10.0, 10.0, 41))
+
+#: the top-level keys of a run configuration, as README's schema block shows them
+CONFIG_KEYS = frozenset({"model", "checks", "output_dir", "seed", "t_grid"})
 
 #: what a rule parameter of each nesting depth in ``models.LAMBDA_RULES`` and
 #: ``models.T_RULES`` must be
@@ -55,13 +57,14 @@ _SHAPES = (
 class RunConfig:
     model: ModelSpec
     checks: tuple[str, ...]
-    tolerances: Mapping[str, float]
     output_dir: str
     seed: int
     t_grid: tuple[float, ...]
 
 
-def _require_keys(section: str, data: Mapping, allowed: set[str], required: set[str]) -> None:
+def _require_keys(
+    section: str, data: Mapping, allowed: AbstractSet[str], required: set[str]
+) -> None:
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {section}: {sorted(unknown)}")
@@ -139,29 +142,18 @@ def load_config(data: Mapping) -> RunConfig:
     """Validate a decoded JSON document against the strict schema."""
     if not isinstance(data, Mapping):
         raise ConfigError("configuration root must be an object")
-    allowed = {"model", "checks", "tolerances", "output_dir", "seed", "t_grid"}
-    _require_keys("config", data, allowed, {"model"})
+    _require_keys("config", data, CONFIG_KEYS, {"model"})
 
     seed = data.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise ConfigError("seed must be an integer in [0, 2^64)")
 
-    checks = tuple(data.get("checks", suites.CHECKS))
+    checks = data.get("checks", list(suites.CHECKS))
+    if not isinstance(checks, list) or not checks or not all(isinstance(c, str) for c in checks):
+        raise ConfigError("checks must be a nonempty list of check names")
     unknown = set(checks) - set(suites.CHECKS)
     if unknown:
         raise ConfigError(f"unknown check(s): {sorted(unknown)}")
-    if not checks:
-        raise ConfigError("checks must not be empty")
-
-    tolerances = data.get("tolerances", {})
-    if not isinstance(tolerances, Mapping):
-        raise ConfigError("tolerances must be an object")
-    bad = set(tolerances) - set(suites.CHECKS)
-    if bad:
-        raise ConfigError(f"tolerance override(s) for unknown check(s): {sorted(bad)}")
-    for key, value in tolerances.items():
-        if not _is_number(value) or not value > 0:
-            raise ConfigError(f"tolerance override {key} must be a positive number")
 
     t_grid = data.get("t_grid", DEFAULT_T_GRID)
     if not isinstance(t_grid, (list, tuple)) or not all(_is_number(t) for t in t_grid):
@@ -175,8 +167,7 @@ def load_config(data: Mapping) -> RunConfig:
 
     return RunConfig(
         model=_parse_model(data["model"], seed),
-        checks=checks,
-        tolerances=dict(tolerances),
+        checks=tuple(checks),
         output_dir=output_dir,
         seed=seed,
         t_grid=tuple(float(t) for t in t_grid),
@@ -231,24 +222,11 @@ def cmd_verify(config: RunConfig, timestamp: bool = True) -> int:
     )
 
     results = {
-        name: suites.CHECKS[name](inst, config.seed, config.t_grid) for name in config.checks
+        name: check(inst, config.seed, config.t_grid)
+        for name, check in suites.CHECKS.items()
+        if name in config.checks
     }
-
-    # overrides may only loosen: reject anything below the group floor
-    final: list[suites.GroupResult] = []
-    for name in suites.CHECKS:
-        if name not in results:
-            continue
-        result = results[name]
-        if name in config.tolerances:
-            override = config.tolerances[name]
-            floor = suites.group_floor(result)
-            if override < floor:
-                raise ConfigError(
-                    f"tolerance override {override:g} for {name!r} is below the floor {floor:.3e}"
-                )
-            result = suites.apply_override(result, override)
-        final.append(result)
+    final = list(results.values())
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -319,16 +297,14 @@ def cmd_sweep(
 ) -> int:
     if bool(n_values) == bool(beta_values):
         raise ConfigError("sweep needs exactly one nonempty axis: N values or beta values")
+    if n_values:
+        axis, rows = "N", models.convergence_sweep(config.model, [int(n) for n in n_values])
+    else:
+        axis, rows = "beta", models.beta_sweep(config.model, [float(b) for b in beta_values])
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if n_values:
-        rows = models.convergence_sweep(config.model, [int(n) for n in n_values])
-        _write_csv(out / "sweep_N.csv", models.sweep_columns("N"), rows, timestamp)
-        logger.info("wrote %s", out / "sweep_N.csv")
-    else:
-        rows = models.beta_sweep(config.model, [float(b) for b in beta_values])
-        _write_csv(out / "sweep_beta.csv", models.sweep_columns("beta"), rows, timestamp)
-        logger.info("wrote %s", out / "sweep_beta.csv")
+    _write_csv(out / f"sweep_{axis}.csv", models.sweep_columns(axis), rows, timestamp)
+    logger.info("wrote %s", out / f"sweep_{axis}.csv")
     return 0
 
 

@@ -63,6 +63,8 @@ class Spectrum:
             raise BadModel("spectrum must be ascending")
         if not (np.isfinite(self.beta) and self.beta > 0.0):
             raise BadModel("inverse temperature must be positive")
+        if np.exp(-self.beta * lam[0]) == 0.0:
+            raise BadModel("every Boltzmann weight e^{-beta lambda_n} underflows to 0")
         lam = lam.copy()
         lam.setflags(write=False)
         object.__setattr__(self, "lambdas", lam)

@@ -135,30 +135,33 @@ def build_t(rule: Mapping, n: int, seed: int = 0) -> CMatrix:
     """Materialize the constructing operator of a family at dimension N."""
     kind = rule.get("rule")
     if kind == "identity":
-        return np.eye(n, dtype=complex)
-    if kind == "diagonal":
+        t = np.eye(n, dtype=complex)
+    elif kind == "diagonal":
         d = _diagonal_entries(rule, n)
         if np.any(d == 0.0):
             raise BadModel("diagonal constructing operator has a zero entry")
-        return np.diag(d).astype(complex)
-    if kind == "shift_perturbed":
+        t = np.diag(d).astype(complex)
+    elif kind == "shift_perturbed":
         eps = float(rule.get("epsilon", 0.5))
         if not 0.0 < eps < 1.0:
             raise BadModel("shift perturbation must satisfy 0 < epsilon < 1")
-        return np.eye(n, dtype=complex) + eps * np.eye(n, k=-1, dtype=complex)
-    if kind == "exp_generator":
+        t = np.eye(n, dtype=complex) + eps * np.eye(n, k=-1, dtype=complex)
+    elif kind == "exp_generator":
         scale = float(rule.get("scale", 0.35))
         rng = np.random.Generator(np.random.PCG64(seed))
         g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / (
             2.0 * math.sqrt(n)
         )
-        return _taylor_expm(scale * g)
-    if kind == "explicit":
+        t = _taylor_expm(scale * g)
+    elif kind == "explicit":
         t = np.asarray(rule.get("values"), dtype=complex)
         if t.shape != (n, n):
             raise BadModel(f"explicit T has shape {t.shape}, need ({n}, {n})")
-        return t
-    raise BadModel(f"unknown constructing-operator rule {kind!r}")
+    else:
+        raise BadModel(f"unknown constructing-operator rule {kind!r}")
+    if not np.all(np.isfinite(t)):
+        raise BadModel(f"{kind} constructing operator overflows double range")
+    return t
 
 
 def _is_riesz_basis(rule: Mapping) -> bool:
@@ -191,9 +194,11 @@ def instantiate(spec: ModelSpec) -> ModelInstance:
     """
     if spec.n < 1:
         raise BadModel("truncation dimension must be >= 1")
-    lam = lambda_values(spec.lambda_rule, spec.n)
-    spectrum = Spectrum(lambdas=lam, beta=spec.beta)
-    t_op = build_t(spec.t_rule, spec.n, seed=spec.seed)
+    # a rule that overflows double range is reported as BadModel, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = lambda_values(spec.lambda_rule, spec.n)
+        spectrum = Spectrum(lambdas=lam, beta=spec.beta)
+        t_op = build_t(spec.t_rule, spec.n, seed=spec.seed)
     try:
         system = build_system(np.eye(spec.n, dtype=complex), t_op)
     except Singular as exc:

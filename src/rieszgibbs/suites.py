@@ -47,10 +47,14 @@ class GroupResult:
     check: str
     max_residual: float
     tolerance: float
-    passed: bool
     subchecks: tuple[SubCheck, ...]
     #: per-grid-point rows the group certified, keyed by state family (kms only)
     rows: Mapping[str, list[km.KmsRow]]
+
+    @property
+    def passed(self) -> bool:
+        """The suite's own verdict: every sub-check within its tolerance."""
+        return all(s.passed for s in self.subchecks)
 
 
 def _group_rng(seed: int, group: str) -> np.random.Generator:
@@ -67,7 +71,6 @@ def _finish(
         check=check,
         max_residual=binding.residual,
         tolerance=binding.tolerance,
-        passed=all(s.passed for s in subs),
         subchecks=tuple(subs),
         rows=rows or {},
     )
@@ -431,17 +434,3 @@ CHECKS: dict[str, Callable[[ModelInstance, int, Sequence[float]], GroupResult]] 
     "kms": check_kms,
     "modular": check_modular,
 }
-
-
-def group_floor(result: GroupResult) -> float:
-    """Smallest tolerance inside a group; overrides below it are rejected."""
-    return min(s.tolerance for s in result.subchecks)
-
-
-def apply_override(result: GroupResult, override: float) -> GroupResult:
-    """Loosen every sub-tolerance of a group to at least ``override``."""
-    subs = [
-        SubCheck(s.name, s.residual, max(s.tolerance, override))
-        for s in result.subchecks
-    ]
-    return _finish(result.check, subs, result.rows)

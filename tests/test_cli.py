@@ -1,6 +1,8 @@
 import csv
 import json
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,9 +50,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="seed"):
             cli.load_config({"model": {"preset": "jordan2"}, "seed": -1})
 
-    def test_bad_tolerance_value(self):
-        with pytest.raises(ConfigError, match="positive"):
-            cli.load_config({"model": {"preset": "jordan2"}, "tolerances": {"gibbs": -1.0}})
+    def test_readme_schema_shows_every_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+        shown = set(re.findall(r'^  "(\w+)":', block, re.M))
+        assert shown == cli.CONFIG_KEYS
+        for key in shown:
+            # each shown key reaches its own validation instead of the unknown-key check
+            with pytest.raises(ConfigError) as exc:
+                cli.load_config({"model": None} if key == "model" else {"model": {}, key: None})
+            assert "unknown key" not in str(exc.value)
+        for key in ("tolerances", "extra"):
+            with pytest.raises(ConfigError, match="unknown key"):
+                cli.load_config({"model": {"preset": "jordan2"}, key: {}})
 
     def test_bad_t_grid(self):
         with pytest.raises(ConfigError, match="t_grid"):
@@ -60,14 +72,16 @@ class TestConfigValidation:
         "overrides",
         [
             {"seed": True},
-            {"tolerances": {"kms": True}},
             {"t_grid": [0.0, True]},
             {"model": {"preset": "shift_half", "N": True}},
             {"model": {"preset": "shift_half", "N": 8.9}},
             {"model": {"preset": "shift_half", "beta": "2"}},
+            {"checks": 5},
+            {"checks": [["kms"]]},
+            {"checks": "kms"},
         ],
-        ids=["seed_bool", "tolerance_bool", "t_grid_bool", "preset_n_bool",
-             "preset_n_fraction", "preset_beta_string"],
+        ids=["seed_bool", "t_grid_bool", "preset_n_bool", "preset_n_fraction",
+             "preset_beta_string", "checks_int", "checks_nested", "checks_string"],
     )
     def test_non_number_exits_3(self, tmp_path, overrides):
         data = {
@@ -77,6 +91,12 @@ class TestConfigValidation:
         }
         data.update(overrides)
         assert cli.main(["verify", "--config", write_config(tmp_path, data)]) == 3
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("checks", [5, [["kms"]], "kms", []])
+    def test_malformed_checks_message(self, checks):
+        with pytest.raises(ConfigError, match="checks must be a nonempty list"):
+            cli.load_config({"model": {"preset": "jordan2"}, "checks": checks})
 
     CUSTOM_MODEL = {
         "N": 4,
@@ -87,9 +107,6 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"tolerances": {"kms": float("inf")}},
-            {"tolerances": {"kms": float("-inf")}},
-            {"tolerances": {"kms": float("nan")}},
             {"model": {"preset": "shift_half", "N": 8, "beta": float("inf")}},
             {"model": {"preset": "shift_half", "N": 8, "beta": float("-inf")}},
             {"model": {**CUSTOM_MODEL, "beta": float("inf")}},
@@ -97,13 +114,17 @@ class TestConfigValidation:
             {"model": {**CUSTOM_MODEL, "beta": 10**400}},
             {"t_grid": [0.0, float("inf")]},
             {"t_grid": [float("-inf"), 1.0]},
+            {"model": {"preset": "shift_half", "N": 8, "beta": 800}},
+            {"model": {"preset": "shift_half", "N": 8, "beta": 1e300}},
+            {"model": {**CUSTOM_MODEL, "beta": 1.0, "T": {"rule": "exp_generator", "scale": 1e300}}},
         ],
-        ids=["tolerance_inf", "tolerance_neg_inf", "tolerance_nan", "preset_beta_inf",
-             "preset_beta_neg_inf", "custom_beta_inf", "custom_beta_neg_inf",
-             "custom_beta_huge_int", "t_grid_inf", "t_grid_neg_inf"],
+        ids=["preset_beta_inf", "preset_beta_neg_inf", "custom_beta_inf", "custom_beta_neg_inf",
+             "custom_beta_huge_int", "t_grid_inf", "t_grid_neg_inf", "weights_underflow_beta_800",
+             "weights_underflow_beta_1e300", "exp_generator_overflow"],
     )
     def test_non_finite_exits_3(self, tmp_path, overrides):
-        # json writes Infinity/NaN literals, which json.load parses back
+        # json writes Infinity/NaN literals, which json.load parses back; the last
+        # three are finite numbers whose weights or T leave double range
         data = {
             "model": {"preset": "shift_half", "N": 8},
             "checks": ["biorthogonality", "kms"],
@@ -269,16 +290,22 @@ class TestVerifyCommand:
         rows = read_report(tmp_path / "out")
         assert [row["check"] for row in rows] == ["biorthogonality", "entropy"]
 
-    def test_tolerance_below_floor_exits_3(self, tmp_path, capsys):
-        config = jordan2_config(tmp_path, tolerances={"biorthogonality": 1e-16})
+    def test_tolerances_key_exits_3(self, tmp_path, capsys):
+        # a group tolerance in the config once bought a pass: faithfulness_margin
+        # fails here against the suite's own 1e-12
+        out = tmp_path / "out"
+        config = write_config(
+            tmp_path,
+            {
+                "model": {"preset": "shift_half", "N": 64},
+                "checks": ["gibbs"],
+                "tolerances": {"gibbs": 1e300},
+                "output_dir": str(out),
+            },
+        )
         assert cli.main(["verify", "--config", config]) == 3
-        assert "below the floor" in capsys.readouterr().err
-
-    def test_tolerance_loosening_accepted(self, tmp_path):
-        config = jordan2_config(tmp_path, tolerances={"kms": 1e-6})
-        assert cli.main(["verify", "--config", config, "--no-timestamp"]) == 0
-        rows = {r["check"]: r for r in read_report(tmp_path / "out")}
-        assert float(rows["kms"]["tolerance"]) >= 1e-6
+        assert "tolerances" in capsys.readouterr().err
+        assert not (out / "verify_report.csv").exists()
 
     def test_zero_eigenvalue_model_exits_3(self, tmp_path, capsys):
         config = write_config(
@@ -367,6 +394,14 @@ class TestSweepCommand:
             )
             == 3
         )
+
+    def test_underflowed_beta_exits_3(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, {"model": {"preset": "shift_half", "N": 8}, "output_dir": str(tmp_path / "out")}
+        )
+        assert cli.main(["sweep", "--config", config, "--beta-values", "1.0", "800"]) == 3
+        assert "underflows" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestExplainAndCatalog:

@@ -22,6 +22,15 @@ class TestSpectrum:
         with pytest.raises(BadModel, match="temperature"):
             gibbs.Spectrum(lambdas=np.array([1.0]), beta=0.0)
 
+    def test_rejects_all_weights_underflowed(self):
+        # e^{-800} is below the smallest subnormal double
+        with pytest.raises(BadModel, match="underflows"):
+            gibbs.Spectrum(lambdas=np.array([1.0, 2.0]), beta=800.0)
+
+    def test_keeps_partly_underflowed_weights(self):
+        spec = gibbs.Spectrum(lambdas=np.array([1.0, 2000.0]), beta=1.0)
+        np.testing.assert_array_equal(spec.weights(), [E1, 0.0])
+
     def test_weights(self):
         spec = gibbs.Spectrum(lambdas=np.array([1.0, 2.0]), beta=1.0)
         np.testing.assert_allclose(spec.weights(), [E1, E2], rtol=0)

@@ -58,6 +58,16 @@ class TestConstructingOperators:
         c = models.build_t({"rule": "exp_generator", "scale": 0.4}, 8, seed=8)
         assert np.max(np.abs(a - c)) > 1e-3
 
+    @pytest.mark.parametrize(
+        "rule",
+        [{"rule": "exp_generator", "scale": 1e300}, {"rule": "diagonal", "exponent": 1e300}],
+        ids=["exp_generator", "diagonal"],
+    )
+    def test_overflowing_t_rejected(self, rule):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BadModel, match="overflows double range"):
+                models.build_t(rule, 4)
+
     def test_exp_generator_matches_series_inverse(self):
         # exp(G) exp(-G) = I validates the scaling-and-squaring helper
         rng = np.random.default_rng(5)
