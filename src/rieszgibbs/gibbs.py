@@ -21,8 +21,9 @@ state and route, on first use, in O(N^3), and stored as their adjoints:
 
 (sigma is its own adjoint by its formula).  Each observable then costs one
 contiguous O(N^2) dot, tr(rho X) = (X | rho^H) = ``numerics.hs_inner(X, rho^H)``.
-The half factor K omits the trailing unitary F^H of C e^{-beta H0/2} =
-(C F) diag(w^{1/2}) F^H: K K^H and |K^H|, its only readers, do not see it.
+K omits the trailing unitary F^H of C e^{-beta H0/2} = (C F) diag(w^{1/2}) F^H,
+which K K^H does not see.  sigma is also Omega^2 for the state's modular
+vector, whose eigenpairs ``modular.modular_data`` reads off sigma's.
 The defining sum ``omega_sum`` stays a per-observable O(N^3) evaluation: it
 is the oracle the density routes are checked against.  Folding it into a
 density (C F) diag(w) (C F)^H as well would, for F = I, repeat the trace
@@ -113,9 +114,8 @@ class GibbsState:
 
     ``gibbs_state`` is the only place that forms this data; strip functions,
     Omega vectors and the ratio/density residuals read it from here.  The
-    route densities, the half factor, e^{-beta H} and the twist are formed on
-    first use and cached, so a state that never evaluates a route never pays
-    for it.
+    route densities, e^{-beta H} and the twist are formed on first use and
+    cached, so a state that never evaluates a route never pays for it.
     """
 
     partition: float
@@ -129,11 +129,6 @@ class GibbsState:
     def trace_density_h(self) -> CMatrix:
         """rho^H, the adjoint of the density rho with omega(X) = tr(rho X)."""
         return _trace_density(self)
-
-    @cached_property
-    def half_factor(self) -> CMatrix:
-        """K = (C F) diag(w^{1/2}), i.e. C e^{-beta H0/2} times the unitary F."""
-        return _half_factor(self)
 
     @cached_property
     def sandwich_density(self) -> CMatrix:
@@ -156,13 +151,9 @@ def _trace_density(state: GibbsState) -> CMatrix:
     return state.family.c_op @ right / state.partition
 
 
-def _half_factor(state: GibbsState) -> CMatrix:
-    half = np.exp(-0.5 * state.spectrum.beta * state.spectrum.lambdas)
-    return state.family.vectors * half
-
-
 def _sandwich_density(state: GibbsState) -> CMatrix:
-    k = state.half_factor
+    half = np.exp(-0.5 * state.spectrum.beta * state.spectrum.lambdas)
+    k = state.family.vectors * half
     return k @ numerics.dagger(k) / state.partition
 
 

@@ -38,9 +38,10 @@ def modular_tolerance(cond_omega: float) -> float:
 
 @dataclass(frozen=True)
 class ModularData:
-    """A positive nonsingular HS vector with its cached eigendecomposition."""
+    """A state's positive nonsingular HS vector Omega with its eigendecomposition."""
 
     omega: CMatrix
+    # Omega = U diag(omega_j) U^H, ascending omega_j > 0
     eig: HermitianEig = field(repr=False)
     cond_omega: float
 
@@ -49,11 +50,24 @@ class ModularData:
         return self.omega.shape[0]
 
 
-def modular_data(omega: CMatrix) -> ModularData:
-    omega = numerics.as_operator(omega)
-    eig = numerics.herm_eig(omega)
-    if eig.values[0] <= 0.0:
-        raise Singular("modular vector must be positive definite")
+def modular_data(state: GibbsState) -> ModularData:
+    """The unit HS vector implementing the state as (X Omega | Omega).
+
+    Omega = |(C e^{-beta H0/2})^H| / sqrt(Z): e^{-beta H0/2} / sqrt(Z0) for
+    the frame state, and C = T or (T^{-1})^H for the phi and psi states.  Its
+    square is the state's sandwich density sigma = K K^H / Z, so one
+    eigendecomposition sigma = U diag(mu) U^H gives Omega = U diag(sqrt(mu)) U^H
+    and its eigenpairs together.  The 1/sqrt(Z) factor is exactly what gives
+    the vector unit HS norm.  Raises Singular unless every mu is positive.
+    """
+    sigma = numerics.herm_eig(state.sandwich_density)
+    if sigma.values[0] <= 0.0:
+        raise Singular(
+            f"modular vector must be positive definite: smallest eigenvalue of "
+            f"Omega^2 is {sigma.values[0]:.3e}"
+        )
+    eig = HermitianEig(values=np.sqrt(sigma.values), vectors=sigma.vectors)
+    omega = (eig.vectors * eig.values) @ numerics.dagger(eig.vectors)
     return ModularData(
         omega=omega, eig=eig, cond_omega=float(eig.values[-1] / eig.values[0])
     )
@@ -63,18 +77,6 @@ def omega_power(md: ModularData, exponent: complex) -> CMatrix:
     """Omega^a for complex a through the cached eigenpairs."""
     w = np.exp(exponent * np.log(md.eig.values.astype(complex)))
     return (md.eig.vectors * w) @ numerics.dagger(md.eig.vectors)
-
-
-def omega_vector(state: GibbsState) -> CMatrix:
-    """The unit HS vector implementing the state as (X Omega | Omega).
-
-    Omega = |(C e^{-beta H0/2})^H| / sqrt(Z): e^{-beta H0/2} / sqrt(Z0) for
-    the frame state, and C = T or (T^{-1})^H for the phi and psi states.  It
-    is read off the half factor K = (C F) diag(w^{1/2}) as |K^H| / sqrt(Z),
-    since C e^{-beta H0/2} = K F^H and |K^H| does not see the unitary F^H.
-    The 1/sqrt(Z) factor is exactly what gives the vector unit HS norm.
-    """
-    return numerics.abs_of_adjoint(state.half_factor) / np.sqrt(state.partition)
 
 
 def state_via_vector(x: CMatrix, omega: CMatrix) -> complex:
@@ -95,6 +97,14 @@ def tomita_s(md: ModularData, v: CMatrix) -> CMatrix:
 def delta_apply(md: ModularData, v: CMatrix) -> CMatrix:
     """Delta V = Omega^2 V Omega^{-2}, positive on the HS space."""
     return md.omega @ md.omega @ v @ omega_power(md, -2.0)
+
+
+def delta_form(md: ModularData, v: CMatrix) -> float:
+    """(Delta V | V) in Omega's eigenbasis: sum_jk (omega_j/omega_k)^2 |V~_jk|^2
+    with V~ = U^H V U, positive for V != 0."""
+    vt = numerics.dagger(md.eig.vectors) @ v @ md.eig.vectors
+    ratios = (md.eig.values[:, None] / md.eig.values[None, :]) ** 2
+    return float(np.sum(ratios * np.abs(vt) ** 2))
 
 
 def modular_flow(md: ModularData, t: float, x: CMatrix) -> CMatrix:
@@ -139,18 +149,6 @@ def verify_modular_kms(
     return res
 
 
-def commutant_residual(a: CMatrix, x: CMatrix, v: CMatrix, w: CMatrix) -> float:
-    """Weak-commutation defect |((X V) A | W) - (V A | X^H W)|.
-
-    Right multiplications commute with left multiplications, so this vanishes
-    for every sample; it is the finite-dimensional shadow of the commutant
-    identification.
-    """
-    lhs = numerics.hs_inner((x @ v) @ a, w)
-    rhs = numerics.hs_inner(v @ a, numerics.dagger(x) @ w)
-    return abs(lhs - rhs)
-
-
 def delta_matrix(md: ModularData) -> CMatrix:
     """Dense N^2 x N^2 matrix of Delta on row-major flattened HS vectors.
 
@@ -186,10 +184,11 @@ def commuting_flow_residual(
     deviation of the two sides; meaningful only for commuting [T, H0].
     """
     beta = ham.spectrum.beta
-    abs_t = numerics.abs_of_adjoint(ham.system.t_op)
-    abs_eig = numerics.herm_eig(abs_t)
-    phases = np.exp((2j * t / beta) * np.log(abs_eig.values.astype(complex)))
-    twist = (abs_eig.vectors * phases) @ numerics.dagger(abs_eig.vectors)
+    t_op = ham.system.t_op
+    # |T^H|^{2it/beta} = (T T^H)^{it/beta}
+    gram = numerics.herm_eig(t_op @ numerics.dagger(t_op))
+    phases = np.exp((1j * t / beta) * np.log(gram.values.astype(complex)))
+    twist = (gram.vectors * phases) @ numerics.dagger(gram.vectors)
     rhs = twist @ modular_flow(md, -t / beta, x) @ numerics.dagger(twist)
     lhs = evolve(ham, "phi", t, x)
     return numerics.frobenius(lhs - rhs)

@@ -142,15 +142,6 @@ def inverse(a: CMatrix) -> tuple[CMatrix, float, float]:
     return inv, c, sigma_min
 
 
-def abs_of_adjoint(a: CMatrix) -> CMatrix:
-    """|A^H| = (A A^H)^{1/2}, a positive semidefinite Hermitian matrix."""
-    a = as_operator(a)
-    gram = a @ dagger(a)
-    eig = herm_eig(gram)
-    roots = np.sqrt(np.clip(eig.values, 0.0, None))
-    return eig.vectors @ np.diag(roots) @ dagger(eig.vectors)
-
-
 def trace(a: CMatrix) -> complex:
     return complex(np.trace(as_operator(a)))
 

@@ -320,25 +320,25 @@ def check_kms(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> GroupR
 
 
 def check_modular(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> GroupResult:
-    """Hilbert-Schmidt modular data for Omega_phi = |(T e^{-beta H0/2})*|/sqrt(Z_phi):
-    J Delta^{1/2}(X Omega) = X* Omega, omega_phi(X) = (X Omega | Omega),
-    flow sigma_t(X) = Omega^{2it} X Omega^{-2it} with spectrum of Delta
-    {(w_j/w_k)^2}, and the left/right multiplication commutant relation."""
+    """Hilbert-Schmidt modular data for Omega_phi = |(T e^{-beta H0/2})*|/sqrt(Z_phi),
+    the square root of the sandwich density: unit HS norm of every state's
+    Omega, J Delta^{1/2}(X Omega) = X* Omega, omega_phi(X) = (X Omega | Omega),
+    (Delta V | V) two-sided against sum_jk (w_j/w_k)^2 |V~_jk|^2 in Omega's
+    eigenbasis, and the flow sigma_t(X) = Omega^{2it} X Omega^{-2it}: group law,
+    *-property, modular KMS condition and spectrum of Delta {(w_j/w_k)^2}."""
     system, spectrum = inst.system, inst.spectrum
     rng = _group_rng(seed, "modular")
     n = system.dim
     states = {k: gb.gibbs_state(system, spectrum, k) for k in ("f", "phi", "psi")}
-    omegas = {k: md.omega_vector(s) for k, s in states.items()}
-    data = md.modular_data(omegas["phi"])
+    datas = {k: md.modular_data(s) for k, s in states.items()}
+    data = datas["phi"]
     tol = md.modular_tolerance(data.cond_omega)
 
-    r_norm = max(abs(numerics.frobenius(o) - 1.0) for o in omegas.values())
-    r_tomita = r_state = r_j = r_flowstar = r_vecflow = 0.0
-    r_pos = 0.0
+    r_norm = max(abs(numerics.frobenius(d.omega) - 1.0) for d in datas.values())
+    r_tomita = r_state = r_pos = r_flowstar = r_vecflow = 0.0
     for _ in range(N_OBSERVABLES):
         x = models.random_observable(n, rng)
         v = models.random_observable(n, rng)
-        w = models.random_observable(n, rng)
         r_tomita = max(
             r_tomita,
             numerics.frobenius(
@@ -349,16 +349,8 @@ def check_modular(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> Gr
             r_state,
             abs(md.state_via_vector(x, data.omega) - gb.omega_trace(states["phi"], x)),
         )
-        r_j = max(
-            r_j,
-            abs(
-                numerics.hs_inner(numerics.dagger(v), numerics.dagger(w))
-                - np.conj(numerics.hs_inner(v, w))
-            ),
-        )
-        dv = md.delta_apply(data, v)
-        val = numerics.hs_inner(dv, v)
-        r_pos = max(r_pos, max(0.0, -val.real) / max(numerics.frobenius(v) ** 2, 1e-30))
+        form = md.delta_form(data, v)
+        r_pos = max(r_pos, abs(numerics.hs_inner(md.delta_apply(data, v), v) - form) / form)
         t_probe = 0.8
         r_flowstar = max(
             r_flowstar,
@@ -385,27 +377,16 @@ def check_modular(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> Gr
     r_mkms = md.verify_modular_kms(
         data, x, models.random_observable(n, rng), (0.0, 0.5, 1.7, -2.3)
     )
-    r_comm = max(
-        md.commutant_residual(
-            models.random_observable(n, rng),
-            models.random_observable(n, rng),
-            models.random_observable(n, rng),
-            models.random_observable(n, rng),
-        )
-        for _ in range(N_OBSERVABLES)
-    )
 
     subs = [
         SubCheck("hs_norms", r_norm, 1e-12),
         SubCheck("tomita_involution", r_tomita, tol),
         SubCheck("state_representation", r_state, max(1e-11, gb.state_tolerance(system.cond_t, n))),
-        SubCheck("j_isometry", r_j, 1e-13),
-        SubCheck("delta_positivity", r_pos, 1e-13),
+        SubCheck("delta_positivity", r_pos, 1e-12),
         SubCheck("flow_group_law", r_flowgroup, tol),
         SubCheck("flow_star", r_flowstar, tol),
         SubCheck("vector_flow", r_vecflow, tol),
         SubCheck("modular_kms", r_mkms, tol),
-        SubCheck("commutant", r_comm, 1e-12),
     ]
     if n <= md.ORACLE_DIM_MAX:
         oracle = np.sort(np.linalg.eigvalsh(md.delta_matrix(data)))

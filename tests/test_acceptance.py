@@ -199,7 +199,7 @@ def test_criterion_08_modular(rng):
         inst = instance(name, n=n)
         dim = inst.system.dim
         state = gibbs.gibbs_state(inst.system, inst.spectrum, "phi")
-        md = modular.modular_data(modular.omega_vector(state))
+        md = modular.modular_data(state)
         tol_s = 1e-10 * md.cond_omega**2
         worst_norm = max(worst_norm, abs(numerics.frobenius(md.omega) - 1.0))
         for _ in range(50):
@@ -215,9 +215,7 @@ def test_criterion_08_modular(rng):
     worst_oracle = 0.0
     for name, n in [("jordan2", None), ("oscillator", 4), ("diag_sqrt", 6)]:
         inst = instance(name, n=n)
-        md = modular.modular_data(
-            modular.omega_vector(gibbs.gibbs_state(inst.system, inst.spectrum, "phi"))
-        )
+        md = modular.modular_data(gibbs.gibbs_state(inst.system, inst.spectrum, "phi"))
         got = np.sort(np.linalg.eigvalsh(modular.delta_matrix(md)))
         expected = modular.delta_spectrum_expected(md)
         worst_oracle = max(

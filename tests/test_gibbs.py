@@ -326,7 +326,7 @@ class TestPlantedDensityDefects:
 
 def test_densities_are_formed_only_where_read(monkeypatch):
     """check_kms and a sweep row evaluate no trace or sandwich route."""
-    counts = dict.fromkeys(("_trace_density", "_half_factor", "_sandwich_density"), 0)
+    counts = dict.fromkeys(("_trace_density", "_sandwich_density"), 0)
 
     def counting(name):
         original = getattr(gibbs, name)
@@ -341,7 +341,7 @@ def test_densities_are_formed_only_where_read(monkeypatch):
         monkeypatch.setattr(gibbs, name, counting(name))
     suites.check_kms(instance("shift_half", n=16), 0, (0.0, 0.9))
     models._sweep_row(models.preset("shift_half", n=16), 16.0, None)
-    assert counts == {"_trace_density": 0, "_half_factor": 0, "_sandwich_density": 0}
+    assert counts == {"_trace_density": 0, "_sandwich_density": 0}
     # control: check_gibbs forms each density once per state that reads it
     suites.check_gibbs(instance("shift_half", n=16), 0, ())
-    assert counts == {"_trace_density": 4, "_half_factor": 3, "_sandwich_density": 3}
+    assert counts == {"_trace_density": 4, "_sandwich_density": 3}

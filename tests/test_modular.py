@@ -9,14 +9,18 @@ from rieszgibbs.models import random_observable, random_unitary
 E01 = np.array([[0, 1], [0, 0]], dtype=complex)
 
 
+def data_of(system, spectrum, kind="phi"):
+    return modular.modular_data(gibbs.gibbs_state(system, spectrum, kind))
+
+
 def omega_of(system, spectrum, kind="phi"):
-    return modular.omega_vector(gibbs.gibbs_state(system, spectrum, kind))
+    return data_of(system, spectrum, kind).omega
 
 
 def two_level_data():
     sys_ = riesz.build_system(np.eye(2), np.eye(2))
     spec = gibbs.Spectrum(lambdas=np.array([1.0, 2.0]), beta=1.0)
-    return sys_, spec, modular.modular_data(omega_of(sys_, spec))
+    return sys_, spec, data_of(sys_, spec)
 
 
 class TestOmegaVectors:
@@ -50,6 +54,28 @@ class TestOmegaVectors:
         omega = omega_of(system, spectrum, kind)
         assert numerics.frobenius(omega - expected) <= 1e-13 * system.cond_t**2
 
+    def test_square_is_sandwich_density(self):
+        inst = instance("exp_gen", n=16)
+        state = gibbs.gibbs_state(inst.system, inst.spectrum, "phi")
+        md = modular.modular_data(state)
+        assert numerics.frobenius(md.omega @ md.omega - state.sandwich_density) <= 1e-13
+
+    def test_unitary_t_conjugates_frame_vector(self, rng):
+        # |(U e^{-beta H0/2})^H| = U e^{-beta H0/2} U^H and Zphi = Z0 for unitary U
+        u = random_unitary(8, rng)
+        system = riesz.build_system(np.eye(8), u)
+        spectrum = gibbs.Spectrum(lambdas=np.linspace(0.5, 4.0, 8), beta=0.8)
+        omega_f = omega_of(system, spectrum, "f")
+        expected = u @ omega_f @ u.conj().T
+        assert numerics.frobenius(omega_of(system, spectrum, "phi") - expected) <= 1e-13
+
+    def test_jordan2_invariants(self, jordan2):
+        # Omega^2 = T diag(e^{-1}, e^{-2}) T^H / Zphi: unit trace, det Omega = e^{-3/2} / Zphi
+        md = data_of(jordan2.system, jordan2.spectrum)
+        z_phi = np.exp(-1.0) + 2.0 * np.exp(-2.0)
+        assert abs(np.trace(md.omega @ md.omega).real - 1.0) <= 1e-14
+        assert np.linalg.det(md.omega).real == pytest.approx(np.exp(-1.5) / z_phi, rel=1e-14)
+
     def test_psi_vector_is_dual_phi_vector(self):
         inst = instance("exp_gen", n=8)
         omega_psi = omega_of(inst.system, inst.spectrum, "psi")
@@ -57,8 +83,32 @@ class TestOmegaVectors:
         assert numerics.frobenius(omega_psi - dual_phi) <= 1e-12
 
     def test_rejects_singular_vector(self):
+        # e^{-800} underflows to 0, so Omega^2 = diag(e^{-1}, 0) / Z is singular
+        sys_ = riesz.build_system(np.eye(2), np.eye(2))
+        spec = gibbs.Spectrum(lambdas=np.array([1.0, 800.0]), beta=1.0)
         with pytest.raises(Singular):
-            modular.modular_data(np.diag([1.0, 0.0]).astype(complex))
+            data_of(sys_, spec)
+
+    @pytest.mark.parametrize("n", [8, 32, 64])
+    @pytest.mark.parametrize("name", ["oscillator", "diag_sqrt", "diag_growth"])
+    def test_diagonal_families_closed_form(self, name, n):
+        # T = diag(d), F = I: Omega_phi = diag(|d_n| e^{-beta lambda_n/2}) / sqrt(Z_phi)
+        inst = instance(name, n=n)
+        lam, beta = inst.spectrum.lambdas, inst.spectrum.beta
+        d = np.abs(np.diag(inst.system.t_op))
+        z_phi = np.sum(d**2 * np.exp(-beta * lam))
+        expected = np.sort(d * np.exp(-0.5 * beta * lam) / np.sqrt(z_phi))
+        md = data_of(inst.system, inst.spectrum)
+        np.testing.assert_allclose(md.eig.values, expected, rtol=1e-13, atol=0)
+        assert md.cond_omega == pytest.approx(expected[-1] / expected[0], rel=1e-13)
+
+    def test_check_modular_takes_one_eigendecomposition_per_state(self, monkeypatch):
+        # shift_half does not commute with H0, so no commuting-flow relation
+        calls = []
+        herm_eig = numerics.herm_eig
+        monkeypatch.setattr(numerics, "herm_eig", lambda a: calls.append(a) or herm_eig(a))
+        suites.check_modular(instance("shift_half", n=16), 0, ())
+        assert len(calls) == 3
 
 
 class TestStateViaVector:
@@ -105,7 +155,7 @@ class TestTomitaInvolution:
 
     def test_is_involution(self, rng):
         inst = instance("shift_half", n=6)
-        md = modular.modular_data(omega_of(inst.system, inst.spectrum))
+        md = data_of(inst.system, inst.spectrum)
         v = random_observable(6, rng)
         back = modular.tomita_s(md, modular.tomita_s(md, v))
         assert numerics.frobenius(back - v) <= modular.modular_tolerance(md.cond_omega)
@@ -131,7 +181,7 @@ class TestModularFlow:
 
     def test_group_law_and_star(self, rng):
         inst = instance("diag_sqrt", n=8)
-        md = modular.modular_data(omega_of(inst.system, inst.spectrum))
+        md = data_of(inst.system, inst.spectrum)
         tol = modular.modular_tolerance(md.cond_omega)
         x = random_observable(8, rng)
         s, t = 0.6, -1.9
@@ -158,12 +208,33 @@ class TestDeltaOperator:
             val = numerics.hs_inner(modular.delta_apply(md, v), v)
             assert val.real > 0 and abs(val.imag) <= 1e-13
 
+    def test_two_sided_form_matches_eigenbasis_form(self, rng):
+        inst = instance("exp_gen", n=16)
+        md = data_of(inst.system, inst.spectrum)
+        for _ in range(5):
+            v = random_observable(16, rng)
+            two_sided = numerics.hs_inner(modular.delta_apply(md, v), v)
+            form = modular.delta_form(md, v)
+            assert abs(two_sided - form) <= 1e-12 * form
+
+    def test_planted_square_root_fails_positivity_check(self, monkeypatch):
+        # Delta^{1/2} V = Omega V Omega^{-1} in place of Delta V
+        inst = instance("shift_half", n=8)
+
+        def positivity():
+            result = suites.check_modular(inst, 0, ())
+            return next(s for s in result.subchecks if s.name == "delta_positivity")
+
+        assert positivity().passed
+        monkeypatch.setattr(
+            modular, "delta_apply", lambda md, v: md.omega @ v @ modular.omega_power(md, -1.0)
+        )
+        assert not positivity().passed
+
     def test_spectrum_against_dense_oracle(self):
         for name, n in (("jordan2", None), ("oscillator", 4), ("shift_half", 6)):
             inst = instance(name, n=n)
-            md = modular.modular_data(
-                omega_of(inst.system, inst.spectrum)
-            )
+            md = data_of(inst.system, inst.spectrum)
             dense = modular.delta_matrix(md)
             got = np.sort(np.linalg.eigvalsh(dense))
             expected = modular.delta_spectrum_expected(md)
@@ -172,7 +243,7 @@ class TestDeltaOperator:
     def test_oracle_dimension_guard(self):
         for n in (modular.ORACLE_DIM_MAX + 1, 16):
             inst = instance("oscillator", n=n)
-            md = modular.modular_data(omega_of(inst.system, inst.spectrum))
+            md = data_of(inst.system, inst.spectrum)
             with pytest.raises(ValueError):
                 modular.delta_matrix(md)
 
@@ -185,7 +256,7 @@ class TestDeltaOperator:
     def test_cyclic_separating_proxy(self):
         # X -> X Omega is injective with full-dimensional range when Omega is nonsingular
         inst = instance("shift_half", n=4)
-        md = modular.modular_data(omega_of(inst.system, inst.spectrum))
+        md = data_of(inst.system, inst.spectrum)
         right_mult = np.kron(np.eye(4), md.omega.T)
         assert md.eig.values[0] > 0
         assert np.linalg.matrix_rank(right_mult) == 16
@@ -214,13 +285,13 @@ class TestModularKms:
 
     def test_randomized(self, rng):
         inst = instance("exp_gen", n=8)
-        md = modular.modular_data(omega_of(inst.system, inst.spectrum))
+        md = data_of(inst.system, inst.spectrum)
         x, y = random_observable(8, rng), random_observable(8, rng)
         assert modular.verify_modular_kms(md, x, y, [0.0, 0.7, -1.3]) <= 1e-10
 
     def test_opposite_shift_fails(self, rng, monkeypatch):
         inst = instance("shift_half", n=16)
-        md = modular.modular_data(omega_of(inst.system, inst.spectrum))
+        md = data_of(inst.system, inst.spectrum)
         tol = modular.modular_tolerance(md.cond_omega)
         x, y = random_observable(16, rng), random_observable(16, rng)
         t_grid = [0.0, 0.5, 1.7, -2.3]
@@ -230,33 +301,12 @@ class TestModularKms:
         assert modular.verify_modular_kms(md, x, y, t_grid) > tol
 
 
-class TestCommutant:
-    def test_identity_a_trivial(self, rng):
-        x, v, w = (random_observable(3, rng) for _ in range(3))
-        assert modular.commutant_residual(np.eye(3), x, v, w) <= 1e-14
-
-    def test_diagonal_against_shift(self, rng):
-        a = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-        x = np.eye(4, k=-1).astype(complex)
-        v, w = random_observable(4, rng), random_observable(4, rng)
-        assert modular.commutant_residual(a, x, v, w) <= 1e-13
-
-    def test_randomized(self, rng):
-        worst = max(
-            modular.commutant_residual(*(random_observable(8, rng) for _ in range(4)))
-            for _ in range(20)
-        )
-        assert worst <= 1e-12
-
-
 class TestCommutingFlowRelation:
     def test_diagonal_families(self, rng):
         for name, n in (("oscillator", 8), ("diag_sqrt", 8)):
             inst = instance(name, n=n)
             ham = dynamics.hamiltonian(inst.system, inst.spectrum)
-            md = modular.modular_data(
-                omega_of(inst.system, inst.spectrum)
-            )
+            md = data_of(inst.system, inst.spectrum)
             x = random_observable(n, rng)
             for t in (0.4, -1.1):
                 assert modular.commuting_flow_residual(ham, md, t, x) <= 1e-11
@@ -265,7 +315,7 @@ class TestCommutingFlowRelation:
         # T = I: sigma_t is the reference evolution at rescaled time -beta t
         inst = instance("oscillator", n=6, beta=0.8)
         ham = dynamics.hamiltonian(inst.system, inst.spectrum)
-        md = modular.modular_data(omega_of(inst.system, inst.spectrum))
+        md = data_of(inst.system, inst.spectrum)
         x = random_observable(6, rng)
         t = 0.9
         lhs = modular.modular_flow(md, t, x)

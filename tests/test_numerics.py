@@ -72,31 +72,6 @@ class TestSvd:
         assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
 
 
-class TestAbsOfAdjoint:
-    def test_unitary_gives_identity(self, rng):
-        from rieszgibbs.models import random_unitary
-
-        u = random_unitary(5, rng)
-        np.testing.assert_allclose(numerics.abs_of_adjoint(u), np.eye(5), atol=1e-13)
-
-    def test_positive_diagonal_fixed(self):
-        d = np.diag([2.0, 3.0]).astype(complex)
-        np.testing.assert_allclose(numerics.abs_of_adjoint(d), d, atol=1e-14)
-
-    def test_jordan_block_invariants(self):
-        # AA* = [[2,1],[1,1]]: tr P^2 = 3, det P = 1
-        a = np.array([[1, 1], [0, 1]], dtype=complex)
-        p = numerics.abs_of_adjoint(a)
-        assert abs(np.trace(p @ p).real - 3.0) < 1e-13
-        assert abs(np.linalg.det(p).real - 1.0) < 1e-13
-
-    def test_square_recovers_gram(self, rng):
-        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        p = numerics.abs_of_adjoint(a)
-        gram = a @ a.conj().T
-        assert numerics.frobenius(p @ p - gram) <= 1e-10 * numerics.frobenius(a) ** 2
-
-
 class TestInverseTraceInner:
     def test_inverse_closed_form(self):
         a = np.array([[1, 1], [0, 1]], dtype=complex)
