@@ -31,7 +31,8 @@ per time, and no propagator.  Phases compose exactly there, so an identity
 never compares two eigenbasis forms: each pits one eigenbasis side against
 one dense similarity side, ``evolve`` = U_t X U_{-t} or ``dense_evolutions``,
 which serves all three evolutions at +-t from one phi propagator pair and
-one frame propagator.
+one frame propagator.  For a real family (``riesz.family``) and real t the
+pair is one similarity, U_{-t} = conj(U_t); a complex t or family forms two.
 """
 
 from __future__ import annotations
@@ -84,8 +85,17 @@ def propagator(ham: NonHermitianHamiltonian, which: FamilyKind, t: complex) -> C
 
 
 def evolve(ham: NonHermitianHamiltonian, which: FamilyKind, t: complex, x: CMatrix) -> CMatrix:
-    """U_t X U_{-t} with the propagator of ``which``."""
-    return propagator(ham, which, t) @ x @ propagator(ham, which, -t)
+    """U_t X U_{-t} with the propagator of ``which``.
+
+    For real t, U_{-t} is the similarity of the conjugate phases, one
+    conjugation of U_t for a real family; a complex t forms both.
+    """
+    if np.isreal(t):
+        phases = np.exp(1j * t * ham.spectrum.lambdas)
+        u_fwd, u_bwd = family(ham.system, which).similarity_pair(phases)
+    else:
+        u_fwd, u_bwd = propagator(ham, which, t), propagator(ham, which, -t)
+    return u_fwd @ x @ u_bwd
 
 
 def dense_evolutions(
@@ -94,9 +104,10 @@ def dense_evolutions(
     """(i, which, alpha_{times[i]}(X)) for the three evolutions, densely, one
     evolution at a time.
 
-    One phi pair U_{+-tau} and one frame propagator serve every time with
-    |t| = tau: alpha^psi_t(X) = alpha^phi_t(X^H)^H, since e^{itH^dag} =
-    (e^{-itH})^H, and U^f_{-t} = (U^f_t)^H, since F is unitary.
+    One phi pair U_{+-tau} (one similarity for a real family) and one frame
+    propagator serve every time with |t| = tau: alpha^psi_t(X) =
+    alpha^phi_t(X^H)^H, since e^{itH^dag} = (e^{-itH})^H, and U^f_{-t} =
+    (U^f_t)^H, since F is unitary.
     """
     lam = ham.spectrum.lambdas
     phi, frame = family(ham.system, "phi"), family(ham.system, "f")
@@ -106,7 +117,7 @@ def dense_evolutions(
         by_abs.setdefault(abs(t), []).append(i)
     for tau, members in by_abs.items():
         phases = np.exp(1j * tau * lam)
-        u_fwd, u_bwd = phi.similarity(phases), phi.similarity(phases.conj())
+        u_fwd, u_bwd = phi.similarity_pair(phases)
         v_fwd = frame.similarity(phases)
         for i in members:
             if times[i] >= 0:
@@ -142,7 +153,8 @@ class SpectralEvolution(NamedTuple):
     def __call__(self, *ts: float) -> CMatrix:
         p = np.prod([np.exp(1j * t * self.lambdas) for t in ts], axis=0)
         fam = self.family
-        return fam.vectors @ (np.multiply.outer(p, p.conj()) * self.x_tilde) @ fam.duals_h
+        phased = np.multiply.outer(p, p.conj()) * self.x_tilde
+        return numerics.matmul(fam.vectors, phased, fam.duals_h)
 
 
 def spectral_evolution(
@@ -150,7 +162,7 @@ def spectral_evolution(
 ) -> SpectralEvolution:
     """X under the evolution ``which``, with X~ = F^H C^{-1} X C F formed once."""
     fam = family(ham.system, which)
-    x_tilde = fam.duals_h @ x @ fam.vectors
+    x_tilde = numerics.matmul(fam.duals_h, x, fam.vectors)
     return SpectralEvolution(x, generator_of(ham, which), fam, x_tilde, ham.spectrum.lambdas)
 
 
@@ -164,7 +176,7 @@ def generator_residuals(alpha: SpectralEvolution, t_steps: Sequence[float]) -> l
     if min(t_steps) <= 0.0:
         raise ValueError("t_step must be positive")
     g, x = alpha.generator, alpha.x
-    commutator = 1j * (g @ x - x @ g)
+    commutator = 1j * (numerics.matmul(g, x) - numerics.matmul(x, g))
     return [numerics.frobenius((alpha(t) - x) / t - commutator) for t in t_steps]
 
 
@@ -173,8 +185,9 @@ def spectrum_residual(ham: NonHermitianHamiltonian) -> float:
 
     The general (non-Hermitian) eigenvalues are computed as an independent
     oracle; the similarity H = T H0 T^{-1} forces them onto the real spectrum.
+    H goes in as complex128 for every family, so one LAPACK solver serves all.
     """
-    eigs = np.linalg.eigvals(ham.h)
+    eigs = np.linalg.eigvals(numerics.as_operator(ham.h))
     eigs = eigs[np.argsort(eigs.real)]
     return float(np.max(np.abs(eigs - ham.spectrum.lambdas)))
 
@@ -182,8 +195,8 @@ def spectrum_residual(ham: NonHermitianHamiltonian) -> float:
 def eigenvector_residual(ham: NonHermitianHamiltonian) -> float:
     """Largest of ||H phi_n - lambda_n phi_n|| and ||H^dag psi_n - lambda_n psi_n||."""
     lam = ham.spectrum.lambdas
-    r_phi = ham.h @ ham.system.phi - ham.system.phi * lam
-    r_psi = ham.h_dag @ ham.system.psi - ham.system.psi * lam
+    r_phi = numerics.matmul(ham.h, ham.system.phi) - ham.system.phi * lam
+    r_psi = numerics.matmul(ham.h_dag, ham.system.psi) - ham.system.psi * lam
     return float(
         max(np.max(np.linalg.norm(r_phi, axis=0)), np.max(np.linalg.norm(r_psi, axis=0)))
     )

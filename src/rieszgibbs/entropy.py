@@ -92,7 +92,7 @@ def entropy_generalized(pair: DensityPair) -> float:
         raise NotNormalized("entropy is defined for the normalized density")
     system = pair.system
     m = pair.rho @ pair.log_rho
-    val = -complex(np.sum(system.psi.conj() * (m @ system.phi)))
+    val = -complex(np.sum(system.psi.conj() * numerics.matmul(m, system.phi)))
     tol = entropy_tolerance(system.cond_t)
     if abs(val.imag) > tol:
         raise NoConvergence(f"entropy imaginary part {val.imag:.3e} exceeds {tol:.3e}")

@@ -19,7 +19,8 @@ state and route, on first use, in O(N^3), and stored as their adjoints:
     trace    rho^H = C ((F diag(w)) (C F)^H) / Z,
     sandwich sigma = K K^H / Z,   K = (C F) diag(w^{1/2}) = C e^{-beta H0/2} F,
 
-(sigma is its own adjoint by its formula).  Each observable then costs one
+(sigma is its own adjoint by its formula), both complex128 even for a real
+family, so that no dot casts them again.  Each observable then costs one
 contiguous O(N^2) dot, tr(rho X) = (X | rho^H) = ``numerics.hs_inner(X, rho^H)``.
 K omits the trailing unitary F^H of C e^{-beta H0/2} = (C F) diag(w^{1/2}) F^H,
 which K K^H does not see.  sigma is also Omega^2 for the state's modular
@@ -148,24 +149,25 @@ class GibbsState:
 
 def _trace_density(state: GibbsState) -> CMatrix:
     right = (state.frame * state.weights) @ numerics.dagger(state.family.vectors)
-    return state.family.c_op @ right / state.partition
+    return np.asarray(state.family.c_op @ right / state.partition, dtype=complex)
 
 
 def _sandwich_density(state: GibbsState) -> CMatrix:
     half = np.exp(-0.5 * state.spectrum.beta * state.spectrum.lambdas)
     k = state.family.vectors * half
-    return k @ numerics.dagger(k) / state.partition
+    return np.asarray(k @ numerics.dagger(k) / state.partition, dtype=complex)
 
 
 def gibbs_state(system: RieszSystem, spectrum: Spectrum, kind: FamilyKind) -> GibbsState:
-    """The functional of one family; its route densities are formed on first use."""
+    """The functional of one family; its route densities are formed on first use.
+    A real family's state reads F from the (then real) frame family."""
     check_dims(system, spectrum)
     fam = family(system, kind)
     return GibbsState(
         partition=family_partition(fam.vectors, spectrum),
         family=fam,
         spectrum=spectrum,
-        frame=system.frame,
+        frame=family(system, "f").vectors if fam.real else system.frame,
         weights=spectrum.weights(),
     )
 
@@ -183,7 +185,7 @@ def omega_sum(state: GibbsState, x: CMatrix) -> complex:
     """Weighted sum over the family: (1/Z) sum_n w_n (X v_n | v_n), O(N^3) per X."""
     x = _observable(state, x)
     v = state.family.vectors
-    quad = np.einsum("in,in->n", v.conj(), x @ v)
+    quad = np.einsum("in,in->n", v.conj(), numerics.matmul(x, v))
     return complex(np.sum(state.weights * quad) / state.partition)
 
 
@@ -205,7 +207,7 @@ def omega_ratio_residual(state_phi: GibbsState, state_f: GibbsState, x: CMatrix)
     Both sides take the trace route; the pull-back T^H X T is formed densely.
     """
     c_op = state_phi.family.c_op
-    pulled = numerics.dagger(c_op) @ x @ c_op
+    pulled = numerics.matmul(numerics.dagger(c_op), x, c_op)
     lhs = omega_trace(state_phi, x)
     rhs = (state_f.partition / state_phi.partition) * omega_trace(state_f, pulled)
     return abs(lhs - rhs)

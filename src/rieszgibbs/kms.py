@@ -38,8 +38,9 @@ tr(K E) = (E | K^H) = ``numerics.hs_inner(E, K^H)``, against K^H stored once.
 One propagator pair serves a grid point and its mirror, alpha_t(Y) =
 U_t Y U_{-t} and alpha_{-t}(Y) = U_{-t} Y U_t, and the rows of both deformed
 states: psi's propagators are the adjoints of phi's, U^psi_t = (U^phi_{-t})^H,
-so alpha^psi_t(Y) = alpha^phi_t(Y^H)^H.  A mirror pair costs 2 similarities
-and 8 products for its four rows.  A boundary residual therefore always
+so alpha^psi_t(Y) = alpha^phi_t(Y^H)^H.  A mirror pair costs 8 products for
+its four rows and 2 similarities, or 1 for a real family, whose U_{-t} is
+conj(U_t) (``Family.similarity_pair``).  A boundary residual therefore always
 compares two different evaluations of the same number.
 """
 
@@ -85,8 +86,8 @@ def strip_function(state: GibbsState, x: CMatrix, y: CMatrix) -> StripFunction:
     x = numerics.as_operator(x)
     y = numerics.as_operator(y)
     cf, cf_inv = state.family.vectors, state.family.duals_h
-    a_tilde = numerics.dagger(cf) @ x @ cf
-    b_tilde = cf_inv @ y @ cf
+    a_tilde = numerics.matmul(numerics.dagger(cf), x, cf)
+    b_tilde = numerics.matmul(cf_inv, y, cf)
     return StripFunction(state=state, x=x, y=y, kernel=a_tilde * b_tilde.T)
 
 
@@ -115,8 +116,8 @@ def _trace_factors(sf: StripFunction) -> tuple[CMatrix, CMatrix]:
     (= M X C e^{-beta H0} C^H M^{-1}, with M^{-1} = (C^H)^{-1} C^{-1} cancelled)."""
     state = sf.state
     cf = state.family.vectors
-    k_real = ((cf * state.weights) @ numerics.dagger(cf)) @ sf.x
-    return k_real, state.twist @ sf.x @ state.boltzmann
+    k_real = numerics.matmul((cf * state.weights) @ numerics.dagger(cf), sf.x)
+    return k_real, numerics.matmul(state.twist, sf.x, state.boltzmann)
 
 
 class KmsRow(NamedTuple):
@@ -156,7 +157,8 @@ def verification_rows(
     oracle with the propagators U_{+-t} of ``sf``'s family only: the adjoint
     family's are U'_t = (U_{-t})^H, so its rows read alpha'_t(Y') =
     alpha_t(Y'^H)^H.  One pair serves t and -t, one pair is live at a time,
-    and a repeated point is evaluated once.
+    and a repeated point is evaluated once; a real family forms U_{-t} as
+    conj(U_t).
     """
     strips = [sf]
     if adjoint is not None:
@@ -187,8 +189,7 @@ def verification_rows(
     rhs: dict[float, list[list[complex]]] = {}
     for t in points:
         if t not in rhs:
-            phases = np.exp(1j * t * lam)
-            u_fwd, u_bwd = fam.similarity(phases), fam.similarity(phases.conj())
+            u_fwd, u_bwd = fam.similarity_pair(np.exp(1j * t * lam))
             rhs[t] = boundary_rhs(u_fwd, u_bwd)
             if t and -t in grid:
                 rhs[-t] = boundary_rhs(u_bwd, u_fwd)
@@ -248,7 +249,10 @@ def nonhermitian_density_residual(state: GibbsState, xs: Sequence[CMatrix]) -> f
     once here from the state's cached e^{-beta H} and M, each trace is one dot
     against it, and each is compared with the defining sum.
     """
-    density_h = numerics.dagger(state.twist) @ numerics.dagger(state.boltzmann) / state.partition
+    density_h = np.asarray(
+        numerics.dagger(state.twist) @ numerics.dagger(state.boltzmann) / state.partition,
+        dtype=complex,
+    )
     return max(
         (abs(numerics.hs_inner(x, density_h) - omega_sum(state, x)) for x in xs),
         default=0.0,

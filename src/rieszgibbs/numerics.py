@@ -1,11 +1,13 @@
-"""Dense complex linear-algebra kernel.
+"""Dense linear-algebra kernel.
 
-Every operator in this package is a square ``complex128`` ndarray of some
-fixed dimension N.  This module wraps the handful of factorizations the rest
-of the library is expressed through (Hermitian eigendecomposition, SVD,
-inversion, traces) and enforces their accuracy contracts:
-each routine validates its own result and raises instead of returning a
-silently inaccurate factorization.
+Every operator in this package is a square ndarray of some fixed dimension N:
+``complex128`` in general, ``float64`` where a family's arrays and a function
+of H0 carried by it are real (``riesz.family``).  This module wraps the
+handful of factorizations the rest of the library is expressed through
+(Hermitian eigendecomposition, SVD, inversion, traces) and enforces their
+accuracy contracts: each routine validates its own result and raises instead
+of returning a silently inaccurate factorization.  ``matmul`` multiplies a
+real factor into a complex one with one real GEMM.
 
 Conventions
 -----------
@@ -50,6 +52,30 @@ def as_operator(a) -> CMatrix:
 def dagger(a: CMatrix) -> CMatrix:
     """Matrix adjoint (conjugate transpose)."""
     return a.conj().T
+
+
+def _real_times_complex(r: np.ndarray, c: CMatrix) -> CMatrix:
+    return (r @ np.ascontiguousarray(c).view(np.float64)).view(np.complex128)
+
+
+def matmul(a: np.ndarray, b: np.ndarray, *more: np.ndarray) -> np.ndarray:
+    """a @ b @ ..., left to right, each product one real GEMM when one of its
+    factors is float64 and the other complex128.
+
+    numpy's own mixed product casts the real factor to complex, which costs
+    more than a complex GEMM.  Here real @ complex multiplies the real factor
+    into the float64 view (real and imaginary parts interleaved) of the
+    C-contiguous complex one, half a complex GEMM's flops; complex @ real is
+    the transpose of that.  Any other pair takes plain ``@``.
+    """
+    kinds = a.dtype.kind + b.dtype.kind
+    if kinds == "fc":
+        out = _real_times_complex(a, b)
+    elif kinds == "cf":
+        out = _real_times_complex(b.T, a.T).T
+    else:
+        out = a @ b
+    return matmul(out, *more) if more else out
 
 
 def frobenius(a: CMatrix) -> float:

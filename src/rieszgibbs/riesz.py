@@ -16,6 +16,9 @@ the family is the similarity C g(H0) C^{-1} = sum_n g(lambda_n) v_n d_n^H.
 Each family is formed once per system, on first use, and holds C, the
 columns v_n of C F and the rows d_n^H of F^H C^{-1}; propagators, Gibbs
 states and strip functions read them from there rather than copying them.
+A family whose three arrays have no imaginary part is stored as float64 in
+their place: then every product with it is a real GEMM (``numerics.matmul``)
+and C g(H0) C^{-1} is real for real g, conj(C g(H0) C^{-1}) for conj(g).
 """
 
 from __future__ import annotations
@@ -132,35 +135,54 @@ class Family(NamedTuple):
 
     ``vectors`` = C F and ``duals_h`` = F^H C^{-1} satisfy duals_h @ vectors = I,
     so a function of H0 carried by the family, C g(H0) C^{-1}, is
-    ``similarity(g)`` for g given by its values g(lambda_n).
+    ``similarity(g)`` for g given by its values g(lambda_n).  The three arrays
+    are all float64 (``real``) or all complex128.
     """
 
     c_op: CMatrix
     vectors: CMatrix
     duals_h: CMatrix
 
+    @property
+    def real(self) -> bool:
+        return self.vectors.dtype.kind == "f"
+
     def similarity(self, g: np.ndarray) -> CMatrix:
-        """C F diag(g) F^H C^{-1} = (vectors * g) @ duals_h."""
+        """C F diag(g) F^H C^{-1}: (vectors * g) @ duals_h for a complex family,
+        one real GEMM vectors @ (g * duals_h) for a real one."""
+        if self.real:
+            return numerics.matmul(self.vectors, g[:, None] * self.duals_h)
         return (self.vectors * g) @ self.duals_h
+
+    def similarity_pair(self, g: np.ndarray) -> tuple[CMatrix, CMatrix]:
+        """similarity(g) and similarity(conj(g)), the second as the conjugate
+        of the first for a real family: U_t and U_{-t} for g = e^{it lambda}
+        with real t."""
+        s = self.similarity(g)
+        return s, (s.conj() if self.real else self.similarity(g.conj()))
 
 
 def family(system: RieszSystem, kind: FamilyKind) -> Family:
     """The frame ("f", C = I), phi (C = T) or psi (C = (T^{-1})^H) family.
 
     Formed on first use, frozen and kept in ``system.families``, so every
-    caller shares one copy.  The psi family is the phi family of
-    ``dual_system``, read off the existing arrays without a fresh inversion.
+    caller shares one copy; stored as float64 when C, C F and F^H C^{-1} have
+    no imaginary part.  The psi family is the phi family of ``dual_system``,
+    read off the existing arrays without a fresh inversion.
     """
     if kind not in system.families:
         if kind == "f":
             eye = np.eye(system.dim, dtype=complex)
-            fam = Family(eye, system.frame, numerics.dagger(system.frame))
+            arrays = (eye, system.frame, numerics.dagger(system.frame))
         elif kind == "phi":
-            fam = Family(system.t_op, system.phi, numerics.dagger(system.psi))
+            arrays = (system.t_op, system.phi, numerics.dagger(system.psi))
         elif kind == "psi":
-            fam = Family(numerics.dagger(system.t_inv), system.psi, numerics.dagger(system.phi))
+            arrays = (numerics.dagger(system.t_inv), system.psi, numerics.dagger(system.phi))
         else:
             raise ValueError(f"family kind must be 'f', 'phi' or 'psi', got {kind!r}")
+        if not any(np.any(a.imag) for a in arrays):
+            arrays = tuple(np.ascontiguousarray(a.real) for a in arrays)
+        fam = Family(*arrays)
         _freeze(*fam)
         system.families[kind] = fam
     return system.families[kind]

@@ -234,8 +234,9 @@ def check_entropy(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> Gr
     pair = ent.build_density(system, spectrum, normalize=True)
     s_std = ent.entropy_standard(pair)
     s_gen = ent.entropy_generalized(pair)
-    eig_rho = np.sort(np.linalg.eigvals(pair.rho).real)
-    eig_rho0 = np.sort(np.linalg.eigvalsh(pair.rho0))
+    # complex128 input for every family, so one LAPACK solver of each kind serves all
+    eig_rho = np.sort(np.linalg.eigvals(numerics.as_operator(pair.rho)).real)
+    eig_rho0 = np.sort(np.linalg.eigvalsh(numerics.as_operator(pair.rho0)))
     subs = [
         SubCheck("entropy_equality", abs(s_gen - s_std), 1e-10 * max(cond_t, 1.0)),
         SubCheck("normalization", abs(numerics.trace(pair.rho0) - 1.0), 1e-13),
@@ -308,7 +309,7 @@ def check_kms(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> GroupR
     twist, exp_bh = state_phi.twist, state_phi.boltzmann
     if numerics.frobenius(twist @ exp_bh - exp_bh @ twist) < 1e-12 * numerics.frobenius(exp_bh):
         ham = dyn.hamiltonian(system, spectrum)
-        migrated = twist @ x @ numerics.inverse(twist)[0]
+        migrated = numerics.matmul(twist, x, numerics.inverse(twist)[0])
         ts = (0.0, 0.9, 4.2)
         shifted = km.strip_values(sf_phi, [t + 1j * beta for t in ts])
         r_degenerate = max(
@@ -395,9 +396,8 @@ def check_modular(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> Gr
         subs.append(SubCheck("delta_spectrum_oracle", rel, 1e-10))
     ham = dyn.hamiltonian(system, spectrum)
     h0 = ham.h0
-    if numerics.frobenius(system.t_op @ h0 - h0 @ system.t_op) < 1e-13 * max(
-        numerics.frobenius(h0), 1.0
-    ):
+    commutator = numerics.matmul(system.t_op, h0) - numerics.matmul(h0, system.t_op)
+    if numerics.frobenius(commutator) < 1e-13 * max(numerics.frobenius(h0), 1.0):
         r_commute = max(
             md.commuting_flow_residual(ham, data, t, models.random_observable(n, rng))
             for t in (0.6, -1.4)

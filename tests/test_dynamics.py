@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import instance
-from rieszgibbs import dynamics, gibbs, models, numerics, riesz, suites
+from rieszgibbs import cli, dynamics, gibbs, models, numerics, riesz, suites
 from rieszgibbs.models import random_observable
 
 E01 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -179,8 +179,12 @@ class TestDenseEvolutions:
             seen.add((i, which))
         assert seen == {(i, w) for i in range(4) for w in ("f", "phi", "psi")}
 
-    def test_generators_are_formed_on_first_use(self, monkeypatch):
-        inst = instance("shift_half", n=8)
+    @pytest.mark.parametrize(
+        "name, count", [("shift_half", 1), ("exp_gen", 2)], ids=["real", "complex"]
+    )
+    def test_generators_are_formed_on_first_use(self, monkeypatch, name, count):
+        # U_t, and U_{-t} unless the family is real (then it is conj(U_t)); no generator
+        inst = instance(name, n=8)
         calls = []
         similarity = riesz.Family.similarity
 
@@ -191,14 +195,21 @@ class TestDenseEvolutions:
         monkeypatch.setattr(riesz.Family, "similarity", counting)
         ham = dynamics.hamiltonian(inst.system, inst.spectrum)
         dynamics.evolve(ham, "phi", 0.7, random_observable(8, np.random.default_rng(1)))
-        assert len(calls) == 2  # U_t and U_{-t}, no generator
-        assert ham.h is ham.h and len(calls) == 3
+        assert len(calls) == count
+        assert ham.h is ham.h and len(calls) == count + 1
 
-    def test_check_dynamics_similarity_count(self, monkeypatch):
-        # H0, H, H^dag once each; the group law's one phi pair and one frame
-        # propagator per |s + t| (1.2 and 3.5); evolve at the three adjoint-pairing
-        # times; the two propagators of propagator_adjoint
-        inst = instance("shift_half", n=32)
+    @pytest.mark.parametrize(
+        "name, count",
+        # H0, H, H^dag once each; the group law's phi pair and frame propagator
+        # per |s + t| (1.2 and 3.5); evolve at the three adjoint-pairing times;
+        # the two propagators of propagator_adjoint.  The real shift_half family
+        # forms each phi pair from one similarity, the complex exp_gen one from two
+        [("shift_half", 3 + 2 * 2 + 3 * 1 + 2), ("exp_gen", 3 + 2 * 3 + 3 * 2 + 2)],
+        ids=["real", "complex"],
+    )
+    def test_check_dynamics_similarity_count(self, monkeypatch, name, count):
+        inst = instance(name, n=32)
+        assert riesz.family(inst.system, "phi").real == (name == "shift_half")
         calls = []
         similarity = riesz.Family.similarity
 
@@ -208,7 +219,7 @@ class TestDenseEvolutions:
 
         monkeypatch.setattr(riesz.Family, "similarity", counting)
         suites.check_dynamics(inst, 0, ())
-        assert len(calls) == 3 + 2 * 3 + 3 * 2 + 2 == 17
+        assert len(calls) == count
 
 
 class TestGenerators:
@@ -327,3 +338,32 @@ def test_planted_defect_fails_the_subcheck(name, defect, monkeypatch):
     planted = defect(inst, monkeypatch)
     result = {s.name: s for s in suites.check_dynamics(planted, 0, ()).subchecks}
     assert not result[name].passed
+
+
+EXACT_IN_BINARY = ("propagator_adjoint", "spectral_reality", "eigenvector_residual", "hdag_adjoint")
+
+#: the 14 dynamics and kms sub-checks that read exactly 0.0 on the default
+#: verify (seed 0, the CLI's t grid) at N=16.  With T = I (oscillator),
+#: T = I + L/2 and its dyadic inverse (shift_half) or a diagonal T
+#: (diag_growth), these identities come out exact in floating point.  Every
+#: other residual carries roundoff; one that newly reads 0.0 would hint at a
+#: check that lost one of its two routes.
+ZERO_RESIDUALS = {
+    "shift_half": {*EXACT_IN_BINARY, "dual_consistency"},
+    "oscillator": {*EXACT_IN_BINARY, "dual_consistency"},
+    "diag_growth": {*EXACT_IN_BINARY[1:], "dual_consistency"},
+    "diag_sqrt": set(),
+    "exp_gen": set(),
+}
+
+
+@pytest.mark.parametrize("name", list(ZERO_RESIDUALS))
+def test_exactly_the_known_residuals_read_zero(name):
+    inst = models.instantiate(models.preset(name, n=16))
+    zeros = {
+        s.name
+        for group in ("dynamics", "kms")
+        for s in suites.CHECKS[group](inst, 0, cli.DEFAULT_T_GRID).subchecks
+        if s.residual == 0.0
+    }
+    assert zeros == ZERO_RESIDUALS[name]

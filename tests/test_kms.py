@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -382,10 +383,18 @@ class TestDenseOracle:
         assert len(kms.verification_rows(sf_psi, (0.0, 1.0), sf_phi)) == 2
 
 
-def test_check_kms_similarity_count():
-    # 21 propagator pairs for the 41-point grid, shared by both states, plus
-    # e^{-beta H} of each state; shift_half has no degenerate twist
-    inst = instance("shift_half", n=32)
+@pytest.mark.parametrize(
+    "name, count",
+    # one propagator pair for each of the 21 mirror pairs of the 41-point grid,
+    # shared by both states, plus e^{-beta H} of each state; a real family
+    # (shift_half) forms U_{-t} as conj(U_t), a complex one (exp_gen's phi
+    # family) forms both; neither has a degenerate twist
+    [("shift_half", 21 + 2), ("exp_gen", 2 * 21 + 2)],
+    ids=["real", "complex"],
+)
+def test_check_kms_similarity_count(name, count):
+    inst = instance(name, n=32)
+    assert riesz.family(inst.system, "phi").real == (name == "shift_half")
     calls = []
     similarity = riesz.Family.similarity
 
@@ -396,12 +405,31 @@ def test_check_kms_similarity_count():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(riesz.Family, "similarity", counting)
         suites.check_kms(inst, 0, DEFAULT_GRID)
-    assert len(calls) == 44
+    assert len(calls) == count
 
 
-def test_degenerate_twist_probe_forms_only_propagators(monkeypatch):
+def phase_diagonal_instance(n):
+    """diag_sqrt with T = diag(sqrt(n+1) e^{i theta_n}): a complex family whose
+    twist TT* = diag(n+1) commutes with e^{-beta H} = e^{-beta H0}."""
+    spec = models.preset("diag_sqrt", n=n)
+    d = np.sqrt(np.arange(1.0, n + 1.0)) * np.exp(1j * np.linspace(0.3, 2.0, n))
+    return models.instantiate(replace(spec, t_rule={"rule": "explicit", "values": np.diag(d)}))
+
+
+@pytest.mark.parametrize(
+    "make, count",
+    # the grid's t = 0 and its one mirror pair, e^{-beta H} of both states and
+    # U_{+-t} at the 3 probe times: one similarity per pair for the real
+    # diag_sqrt family, two for the complex phase-diagonal one
+    [
+        (lambda: instance("diag_sqrt", n=8), 2 + 2 + 3),
+        (lambda: phase_diagonal_instance(8), 4 + 2 + 6),
+    ],
+    ids=["real", "complex"],
+)
+def test_degenerate_twist_probe_forms_only_propagators(monkeypatch, make, count):
     # the probe evolves Y with the phi propagators and forms no generator
-    inst = instance("diag_sqrt", n=8)
+    inst = make()
     lam = inst.spectrum.lambdas
     calls = []
     similarity = riesz.Family.similarity
@@ -414,8 +442,7 @@ def test_degenerate_twist_probe_forms_only_propagators(monkeypatch):
     result = suites.check_kms(inst, 0, (0.0, 1.5, -1.5))
     assert "degenerate_twist" in [s.name for s in result.subchecks]
     assert not any(np.array_equal(g, lam) for g in calls)
-    # 2 pairs for the grid, e^{-beta H} of both states, U_{+-t} at 3 probe times
-    assert len(calls) == 4 + 2 + 6
+    assert len(calls) == count
 
 
 def test_check_kms_forms_the_phi_boltzmann_operator_once(monkeypatch):

@@ -113,6 +113,52 @@ class TestInverseTraceInner:
             numerics.as_operator(np.ones((2, 3)))
 
 
+class TestMatmul:
+    """The mixed real/complex product: one real GEMM on the complex factor's
+    float64 view, within the dot-product roundoff of the complex product."""
+
+    @staticmethod
+    def operands(rng, order, layout):
+        real = rng.standard_normal((7, 9) if order == "real@complex" else (9, 5))
+        shape = (9, 5) if order == "real@complex" else (7, 9)
+        if layout == "dagger":  # a non-contiguous view of the complex factor
+            shape = shape[::-1]
+        cplx = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if layout == "dagger":
+            cplx = numerics.dagger(cplx)
+            assert not cplx.flags.c_contiguous
+        return (real, cplx) if order == "real@complex" else (cplx, real)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "dagger"])
+    @pytest.mark.parametrize("order", ["real@complex", "complex@real"])
+    def test_matches_complex_product(self, rng, order, layout):
+        a, b = self.operands(rng, order, layout)
+        out = numerics.matmul(a, b)
+        assert out.dtype == np.complex128 and out.shape == (7, 5)
+        exact = a.astype(complex) @ b.astype(complex)
+        unit_roundoff = np.finfo(float).eps / 2
+        bound = 4 * unit_roundoff * numerics.frobenius(a) * numerics.frobenius(b)
+        assert numerics.frobenius(out - exact) <= bound
+
+    def test_real_product_stays_real(self, rng):
+        a, b = rng.standard_normal((7, 9)), rng.standard_normal((9, 5))
+        out = numerics.matmul(a, b)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, a @ b)
+
+    def test_chain_is_left_to_right(self, rng):
+        a, c = rng.standard_normal((7, 9)), rng.standard_normal((5, 4))
+        b = rng.standard_normal((9, 5)) + 1j * rng.standard_normal((9, 5))
+        np.testing.assert_array_equal(
+            numerics.matmul(a, b, c), numerics.matmul(numerics.matmul(a, b), c)
+        )
+
+    def test_complex_product_is_plain_matmul(self, rng):
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        np.testing.assert_array_equal(numerics.matmul(a, b), a @ b)
+
+
 finite_entries = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 

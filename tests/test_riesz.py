@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rieszgibbs import models, numerics, riesz, suites
+from rieszgibbs import dynamics, models, numerics, riesz, suites
 from rieszgibbs.errors import DimensionMismatch, NotUnitary, Singular
 from rieszgibbs.models import random_unitary
 
@@ -93,6 +93,73 @@ class TestFamily:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="family kind"):
             riesz.family(riesz.build_system(np.eye(2), np.eye(2)), "chi")
+
+
+def preset_system(name, n=16):
+    return models.instantiate(models.preset(name, n=n))
+
+
+class TestRealFamilies:
+    """A family whose C, C F and F^H C^{-1} have no imaginary part is stored as
+    float64 in place of the complex arrays; any other keeps complex128."""
+
+    @pytest.mark.parametrize("name", ["shift_half", "oscillator", "diag_sqrt", "diag_growth"])
+    def test_real_presets_are_float64(self, name):
+        system = preset_system(name).system
+        for kind in ("f", "phi", "psi"):
+            fam = riesz.family(system, kind)
+            assert fam.real and all(a.dtype == np.float64 for a in fam)
+        assert system.t_op.dtype == np.complex128  # the system itself stays complex
+
+    def test_exp_gen_deformed_families_stay_complex(self):
+        system = preset_system("exp_gen").system
+        assert all(a.dtype == np.float64 for a in riesz.family(system, "f"))
+        for kind in ("phi", "psi"):
+            fam = riesz.family(system, kind)
+            assert not fam.real and all(a.dtype == np.complex128 for a in fam)
+
+    def test_random_unitary_frame_stays_complex(self, rng):
+        frame = random_unitary(12, rng)
+        system = riesz.build_system(frame, models.build_t({"rule": "shift_perturbed"}, 12))
+        for kind in ("f", "phi", "psi"):
+            fam = riesz.family(system, kind)
+            assert not fam.real and all(a.dtype == np.complex128 for a in fam)
+        # today's arrays: the frame family's columns are the system's frame
+        assert riesz.family(system, "f").vectors is system.frame
+
+    @pytest.mark.parametrize("kind", ["f", "phi", "psi"])
+    def test_real_similarity_matches_complex_formula(self, kind):
+        inst = preset_system("shift_half")
+        fam = riesz.family(inst.system, kind)
+        vectors, duals_h = fam.vectors.astype(complex), fam.duals_h.astype(complex)
+        lam = inst.spectrum.lambdas
+        for g in (np.exp(2.3j * lam), np.exp(-lam)):
+            exact = (vectors * g) @ duals_h
+            out = fam.similarity(g)
+            assert out.dtype == (np.complex128 if np.iscomplexobj(g) else np.float64)
+            scale = numerics.frobenius(fam.vectors) * numerics.frobenius(fam.duals_h)
+            assert numerics.frobenius(out - exact) <= 4 * np.finfo(float).eps * scale
+            s, s_conj = fam.similarity_pair(g)
+            np.testing.assert_array_equal(s, out)
+            np.testing.assert_array_equal(s_conj, out.conj())
+
+    def test_evolve_at_complex_time_forms_both_propagators(self, rng):
+        # for complex t, U_{-t} is not conj(U_t): evolve must take the
+        # two-similarity formula U_t X U_{-t}
+        inst = preset_system("shift_half")
+        ham = dynamics.hamiltonian(inst.system, inst.spectrum)
+        fam = riesz.family(inst.system, "phi")
+        vectors, duals_h = fam.vectors.astype(complex), fam.duals_h.astype(complex)
+        lam, t = inst.spectrum.lambdas, 0.7 + 0.3j
+        u_fwd = (vectors * np.exp(1j * t * lam)) @ duals_h
+        u_bwd = (vectors * np.exp(-1j * t * lam)) @ duals_h
+        x = models.random_observable(16, rng)
+        expected = u_fwd @ x @ u_bwd
+        out = dynamics.evolve(ham, "phi", t, x)
+        scale = numerics.frobenius(u_fwd) * numerics.frobenius(x) * numerics.frobenius(u_bwd)
+        assert numerics.frobenius(out - expected) <= 1e-14 * scale
+        shortcut = u_fwd @ x @ u_fwd.conj()
+        assert numerics.frobenius(shortcut - expected) > 1e-3 * numerics.frobenius(expected)
 
 
 def test_frame_rotation_preserves_biorthogonality(rng):
