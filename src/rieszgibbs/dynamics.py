@@ -187,7 +187,7 @@ def spectrum_residual(ham: NonHermitianHamiltonian) -> float:
     oracle; the similarity H = T H0 T^{-1} forces them onto the real spectrum.
     H goes in as complex128 for every family, so one LAPACK solver serves all.
     """
-    eigs = np.linalg.eigvals(numerics.as_operator(ham.h))
+    eigs = np.linalg.eigvals(ham.h.astype(complex))
     eigs = eigs[np.argsort(eigs.real)]
     return float(np.max(np.abs(eigs - ham.spectrum.lambdas)))
 

@@ -200,7 +200,7 @@ def instantiate(spec: ModelSpec) -> ModelInstance:
         spectrum = Spectrum(lambdas=lam, beta=spec.beta)
         t_op = build_t(spec.t_rule, spec.n, seed=spec.seed)
     try:
-        system = build_system(np.eye(spec.n, dtype=complex), t_op)
+        system = build_system(np.eye(spec.n), t_op)
     except Singular as exc:
         raise BadModel(f"constructing operator too ill-conditioned: {exc}") from exc
     z = partition_constants(system, spectrum)
@@ -220,7 +220,7 @@ def instantiate(spec: ModelSpec) -> ModelInstance:
         phi_next_sq = 1.0 + float(spec.t_rule.get("epsilon", 0.5)) ** 2
         is_bound = False
     else:
-        phi_next_sq = float(np.linalg.norm(t_op, 2) ** 2)
+        phi_next_sq = float(np.linalg.norm(system.t_op, 2) ** 2)
         is_bound = True
     meta = {
         "name": spec.name,

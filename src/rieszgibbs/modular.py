@@ -188,7 +188,7 @@ def commuting_flow_residual(
     # |T^H|^{2it/beta} = (T T^H)^{it/beta}
     gram = numerics.herm_eig(t_op @ numerics.dagger(t_op))
     phases = np.exp((1j * t / beta) * np.log(gram.values.astype(complex)))
-    twist = (gram.vectors * phases) @ numerics.dagger(gram.vectors)
+    twist = numerics.matmul(gram.vectors * phases, numerics.dagger(gram.vectors))
     rhs = twist @ modular_flow(md, -t / beta, x) @ numerics.dagger(twist)
     lhs = evolve(ham, "phi", t, x)
     return numerics.frobenius(lhs - rhs)

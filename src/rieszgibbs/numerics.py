@@ -1,13 +1,17 @@
 """Dense linear-algebra kernel.
 
 Every operator in this package is a square ndarray of some fixed dimension N:
-``complex128`` in general, ``float64`` where a family's arrays and a function
-of H0 carried by it are real (``riesz.family``).  This module wraps the
-handful of factorizations the rest of the library is expressed through
-(Hermitian eigendecomposition, SVD, inversion, traces) and enforces their
-accuracy contracts: each routine validates its own result and raises instead
-of returning a silently inaccurate factorization.  ``matmul`` multiplies a
-real factor into a complex one with one real GEMM.
+``complex128`` in general, ``float64`` where the system (``riesz.build_system``),
+a family's arrays and a function of H0 carried by it are real
+(``riesz.family``).  This module wraps the handful of factorizations the rest
+of the library is expressed through (Hermitian eigendecomposition, SVD,
+inversion, traces) and enforces their accuracy contracts: each routine
+validates its own result and raises instead of returning a silently
+inaccurate factorization.  ``as_operator`` keeps a real input float64 and
+casts any other to complex128, so each factorization (``cond``, ``inverse``,
+``svd``, ``herm_eig``) runs real LAPACK on a real matrix and returns real
+factors, complex LAPACK otherwise.  ``matmul`` multiplies a real factor into
+a complex one with one real GEMM.
 
 Conventions
 -----------
@@ -40,8 +44,10 @@ COND_MAX = 1e12
 
 
 def as_operator(a) -> CMatrix:
-    """Coerce ``a`` to a square complex matrix, rejecting non-finite entries."""
-    m = np.asarray(a, dtype=complex)
+    """Coerce ``a`` to a square matrix, rejecting non-finite entries: float64
+    when ``a`` has a real dtype, complex128 otherwise."""
+    m = np.asarray(a)
+    m = m.astype(np.float64 if m.dtype.kind in "biuf" else np.complex128, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -152,8 +158,8 @@ def cond(a: CMatrix) -> tuple[float, float]:
 
 
 def inverse(a: CMatrix) -> tuple[CMatrix, float, float]:
-    """Inverse of ``a`` with the condition number and smallest singular value
-    checked before inverting.
+    """Inverse of ``a``, float64 for a real ``a``, with the condition number
+    and smallest singular value checked before inverting.
 
     Refused with Singular when that condition number exceeds COND_MAX.
     """
@@ -169,7 +175,9 @@ def inverse(a: CMatrix) -> tuple[CMatrix, float, float]:
 
 
 def trace(a: CMatrix) -> complex:
-    return complex(np.trace(as_operator(a)))
+    """tr(a), summed in complex128 for a real ``a`` too, so that a real matrix
+    and its complex128 copy give the same digits."""
+    return complex(np.trace(as_operator(a), dtype=complex))
 
 
 def hs_inner(s: CMatrix, t: CMatrix) -> complex:

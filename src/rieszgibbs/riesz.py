@@ -9,6 +9,9 @@ are biorthogonal, ``(phi_n | psi_m) = delta_nm``, and everything downstream
 (Gibbs functionals, deformed evolutions, modular data) is expressed through
 them.  At finite dimension every domain condition the unbounded theory needs
 is automatic, so construction only has to police conditioning and unitarity.
+When neither the frame nor T has an imaginary part, the system is real: its
+frame, T, T^{-1}, phi and psi are float64, and T is factored, inverted and
+checked with real LAPACK and real GEMMs.  Any other system is complex128.
 
 Each downstream object is built for one *family*, fixed by its constructing
 operator C = I, T or (T^{-1})^H (``family``); a function g of H0 carried by
@@ -45,6 +48,9 @@ def biorthogonality_tolerance(cond_t: float) -> float:
 @dataclass(frozen=True)
 class RieszSystem:
     """Frame, constructing operator and the derived biorthogonal families.
+
+    The five arrays share one dtype: float64 for a real system, complex128
+    otherwise (``build_system``).
 
     Attributes
     ----------
@@ -84,6 +90,10 @@ def _freeze(*arrays: np.ndarray) -> None:
 def build_system(frame: CMatrix, t_op: CMatrix) -> RieszSystem:
     """Assemble a RieszSystem, verifying biorthogonality at build time.
 
+    The system is real, every array float64, when neither ``frame`` nor
+    ``t_op`` has a nonzero imaginary part, whatever their dtypes; otherwise
+    both are cast to complex128.
+
     Raises NotUnitary when the frame misses ``||F^H F - I||_F <= 1e-12 N``,
     Singular when T cannot be inverted within the condition cap, and
     NoConvergence if the built families miss the biorthogonality tolerance
@@ -94,6 +104,12 @@ def build_system(frame: CMatrix, t_op: CMatrix) -> RieszSystem:
     n = frame.shape[0]
     if t_op.shape != (n, n):
         raise DimensionMismatch(f"frame is {n}x{n} but T is {t_op.shape}")
+    real = not (np.any(frame.imag) or np.any(t_op.imag))
+    # fresh C-ordered copies, which the system freezes
+    frame, t_op = (
+        np.array(a.real if real else a, dtype=float if real else complex, order="C")
+        for a in (frame, t_op)
+    )
     defect = numerics.frobenius(numerics.dagger(frame) @ frame - np.eye(n))
     if defect > FRAME_TOL * n:
         raise NotUnitary(f"frame unitarity defect {defect:.3e} exceeds {FRAME_TOL * n:.1e}")
@@ -102,8 +118,8 @@ def build_system(frame: CMatrix, t_op: CMatrix) -> RieszSystem:
     psi = numerics.dagger(t_inv) @ frame
     sys_ = RieszSystem(
         dim=n,
-        frame=frame.copy(),
-        t_op=t_op.copy(),
+        frame=frame,
+        t_op=t_op,
         t_inv=t_inv,
         phi=phi,
         psi=psi,
@@ -172,7 +188,7 @@ def family(system: RieszSystem, kind: FamilyKind) -> Family:
     """
     if kind not in system.families:
         if kind == "f":
-            eye = np.eye(system.dim, dtype=complex)
+            eye = np.eye(system.dim, dtype=system.frame.dtype)
             arrays = (eye, system.frame, numerics.dagger(system.frame))
         elif kind == "phi":
             arrays = (system.t_op, system.phi, numerics.dagger(system.psi))
@@ -206,12 +222,12 @@ def check_naturalness(system: RieszSystem, given_psi: CMatrix) -> NaturalnessRes
     inverse that built the system's own psi family, against the
     biorthogonality tolerance.
     """
-    given = np.asarray(given_psi, dtype=complex)
+    given = np.asarray(given_psi)
     if given.shape != (system.dim, system.dim):
         raise DimensionMismatch(
             f"expected a {system.dim}x{system.dim} dual family, got {given.shape}"
         )
     tol = biorthogonality_tolerance(system.cond_t)
-    defect = numerics.dagger(system.t_op) @ given - system.frame
+    defect = numerics.matmul(numerics.dagger(system.t_op), given) - system.frame
     dev = float(np.max(np.linalg.norm(defect, axis=0)))
     return NaturalnessResult(is_natural=dev <= tol, max_deviation=dev)

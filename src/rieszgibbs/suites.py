@@ -121,7 +121,8 @@ def check_gibbs(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> Grou
     r_sum_trace = r_orderings = r_ratio = r_herm = r_pos = r_dual = 0.0
     for _ in range(N_OBSERVABLES):
         x = models.random_observable(n, rng)
-        x_h = numerics.dagger(x)
+        # C-contiguous once here, rather than copied by each omega_trace dot
+        x_h = np.ascontiguousarray(numerics.dagger(x))
         x_hx = x_h @ x
         for state in states.values():
             t = gb.omega_trace(state, x)
@@ -174,14 +175,15 @@ def check_dynamics(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> G
     # similarity side (evolve); X~ is formed once per family and observable
     spectral = {which: dyn.spectral_evolution(ham, which, x) for which in ("f", "phi", "psi")}
     psi_of_adjoint = dyn.spectral_evolution(ham, "psi", numerics.dagger(x))
-    pulled = dyn.spectral_evolution(ham, "f", system.t_inv @ x @ system.t_op)
+    pulled = dyn.spectral_evolution(ham, "f", numerics.matmul(system.t_inv, x, system.t_op))
     r_group = r_adjoint = r_inter = 0.0
     for i, which, dense in dyn.dense_evolutions(ham, x, [s + t for s, t in pairs]):
         r_group = max(r_group, numerics.frobenius(dense - spectral[which](*pairs[i])))
     for s, t in pairs:
         dense = dyn.evolve(ham, "phi", t, x)
         r_adjoint = max(r_adjoint, numerics.frobenius(numerics.dagger(dense) - psi_of_adjoint(t)))
-        r_inter = max(r_inter, numerics.frobenius(dense @ system.t_op - system.t_op @ pulled(t)))
+        defect = numerics.matmul(dense, system.t_op) - numerics.matmul(system.t_op, pulled(t))
+        r_inter = max(r_inter, numerics.frobenius(defect))
     t_probe = 1.5
     r_prop = numerics.frobenius(
         numerics.dagger(dyn.propagator(ham, "phi", t_probe))
@@ -235,8 +237,8 @@ def check_entropy(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> Gr
     s_std = ent.entropy_standard(pair)
     s_gen = ent.entropy_generalized(pair)
     # complex128 input for every family, so one LAPACK solver of each kind serves all
-    eig_rho = np.sort(np.linalg.eigvals(numerics.as_operator(pair.rho)).real)
-    eig_rho0 = np.sort(np.linalg.eigvalsh(numerics.as_operator(pair.rho0)))
+    eig_rho = np.sort(np.linalg.eigvals(pair.rho.astype(complex)).real)
+    eig_rho0 = np.sort(np.linalg.eigvalsh(pair.rho0.astype(complex)))
     subs = [
         SubCheck("entropy_equality", abs(s_gen - s_std), 1e-10 * max(cond_t, 1.0)),
         SubCheck("normalization", abs(numerics.trace(pair.rho0) - 1.0), 1e-13),

@@ -1,4 +1,5 @@
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -195,6 +196,34 @@ class TestSweeps:
         for row, beta in zip(rows, (0.5, 1.0, 2.0)):
             expected = np.sum(np.exp(-beta * np.arange(1.0, 65.0)))
             assert row.z0 == pytest.approx(expected, abs=1e-12)
+
+    @staticmethod
+    def shift_half_closed_forms(n, beta, eps=0.5):
+        """T = I + eps L, lambda_k = 1 + k: ||phi_k||^2 = 1 + eps^2 except the
+        last column's 1, ||psi_k||^2 = sum_{j <= k} eps^{2j}, and phi_0 is the
+        only column with a component along f_0."""
+        w = [math.exp(-beta * (1.0 + k)) for k in range(n)]
+        z0 = math.fsum(w)
+        z_phi = (1.0 + eps**2) * z0 - eps**2 * w[-1]
+        p = [wk / z0 for wk in w]
+        return {
+            "z0": z0,
+            "z_phi": z_phi,
+            "z_psi": math.fsum(
+                wk * (1.0 - eps ** (2 * (k + 1))) / (1.0 - eps**2) for k, wk in enumerate(w)
+            ),
+            "omega_identity": 1.0,
+            "omega_ground": w[0] / z_phi,
+            "s_rho": -math.fsum(pk * math.log(pk) for pk in p if pk > 0.0),
+        }
+
+    def test_shift_half_sweep_matches_closed_forms(self):
+        n_values = (16, 64, 128)
+        rows = models.convergence_sweep(models.preset("shift_half", beta=1.0), n_values)
+        for n, row in zip(n_values, rows):
+            assert row.axis == n
+            for column, want in self.shift_half_closed_forms(n, 1.0).items():
+                assert getattr(row, column) == pytest.approx(want, rel=1e-12, abs=0.0), (n, column)
 
     def test_residual_columns_are_small(self):
         rows = models.convergence_sweep(models.preset("jordan2"), [2])

@@ -99,17 +99,56 @@ def preset_system(name, n=16):
     return models.instantiate(models.preset(name, n=n))
 
 
+REAL_PRESETS = ["shift_half", "oscillator", "diag_sqrt", "diag_growth"]
+
+
+class TestRealSystems:
+    """A system whose frame and T have no imaginary part is built, inverted and
+    verified in float64; any other system keeps complex128."""
+
+    @pytest.mark.parametrize(
+        "name, dtype",
+        [(name, np.float64) for name in REAL_PRESETS]
+        + [("exp_gen", np.complex128), ("random_unitary_frame", np.complex128)],
+    )
+    def test_factorizations_and_arrays_keep_the_system_dtype(self, monkeypatch, rng, name, dtype):
+        frame = random_unitary(12, rng)
+        seen = []
+        for fn in ("svd", "inv"):
+            original = getattr(np.linalg, fn)
+
+            def recording(a, *args, _original=original, **kwargs):
+                seen.append(a.dtype)
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, fn, recording)
+        if name == "random_unitary_frame":
+            system = riesz.build_system(frame, models.build_t({"rule": "shift_perturbed"}, 12))
+        else:
+            system = preset_system(name).system
+        dual = riesz.dual_system(system)
+        # at least the condition check's SVD and the inverse of each build
+        assert len(seen) >= 4 and set(seen) == {np.dtype(dtype)}
+        for sys_ in (system, dual):
+            for array in (sys_.frame, sys_.t_op, sys_.t_inv, sys_.phi, sys_.psi):
+                assert array.dtype == dtype
+
+
 class TestRealFamilies:
     """A family whose C, C F and F^H C^{-1} have no imaginary part is stored as
     float64 in place of the complex arrays; any other keeps complex128."""
 
-    @pytest.mark.parametrize("name", ["shift_half", "oscillator", "diag_sqrt", "diag_growth"])
+    @pytest.mark.parametrize("name", REAL_PRESETS)
     def test_real_presets_are_float64(self, name):
         system = preset_system(name).system
         for kind in ("f", "phi", "psi"):
             fam = riesz.family(system, kind)
             assert fam.real and all(a.dtype == np.float64 for a in fam)
-        assert system.t_op.dtype == np.complex128  # the system itself stays complex
+        # the system is real too, and its families read its arrays without copies
+        assert riesz.family(system, "f").vectors is system.frame
+        assert riesz.family(system, "phi").c_op is system.t_op
+        assert riesz.family(system, "phi").vectors is system.phi
+        assert riesz.family(system, "psi").vectors is system.psi
 
     def test_exp_gen_deformed_families_stay_complex(self):
         system = preset_system("exp_gen").system
