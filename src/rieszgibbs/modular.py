@@ -13,6 +13,17 @@ A positive nonsingular unit vector Omega (one per Gibbs state) determines
 and the closure of X Omega -> X^H Omega factors as J Delta^{1/2}.  All maps
 are applied as two-sided multiplications; a dense N^2 x N^2 materialization
 of Delta exists only as a small-N test oracle.
+
+Cost model.  ``modular_data`` does the O(N^3) factorization once per state:
+one eigendecomposition of the sandwich density sigma = K K^H / Z gives
+Omega's eigenpairs, and sigma itself is read as Omega^2, the dense side of
+Delta, of the modular KMS condition and of the Delta oracle.  Every other
+power Omega^a is formed from the eigenpairs once per ``ModularData`` and
+exponent, on first use: Omega^{-1} for S, Omega^{-2} for Delta, and one
+flow unitary u = Omega^{2it} per time t, shared by every observable flowed
+at that t.  Each observable then costs a fixed number of N x N products
+(two for sigma_t(X) = u X u^H, two for Delta V), and each point of the
+modular two-point function two half-chain products and one O(N^2) dot.
 """
 
 from __future__ import annotations
@@ -38,12 +49,26 @@ def modular_tolerance(cond_omega: float) -> float:
 
 @dataclass(frozen=True)
 class ModularData:
-    """A state's positive nonsingular HS vector Omega with its eigendecomposition."""
+    """A state's positive nonsingular HS vector Omega with its eigendecomposition.
+
+    Attributes
+    ----------
+    omega : Omega = U diag(omega_j) U^H
+    eig : the eigenpairs, ascending omega_j > 0
+    cond_omega : omega_max / omega_min
+    omega_sq : Omega^2, read as the state's sandwich density sigma = K K^H / Z
+        rather than rebuilt from the eigenpairs
+    powers : Omega^a by exponent a, each formed from the eigenpairs by
+        ``omega_power`` on first use
+    """
 
     omega: CMatrix
-    # Omega = U diag(omega_j) U^H, ascending omega_j > 0
     eig: HermitianEig = field(repr=False)
     cond_omega: float
+    omega_sq: CMatrix = field(repr=False)
+    powers: dict[complex, CMatrix] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def dim(self) -> int:
@@ -57,8 +82,9 @@ def modular_data(state: GibbsState) -> ModularData:
     the frame state, and C = T or (T^{-1})^H for the phi and psi states.  Its
     square is the state's sandwich density sigma = K K^H / Z, so one
     eigendecomposition sigma = U diag(mu) U^H gives Omega = U diag(sqrt(mu)) U^H
-    and its eigenpairs together.  The 1/sqrt(Z) factor is exactly what gives
-    the vector unit HS norm.  Raises Singular unless every mu is positive.
+    and its eigenpairs together, and sigma itself is kept as Omega^2.  The
+    1/sqrt(Z) factor is exactly what gives the vector unit HS norm.  Raises
+    Singular unless every mu is positive.
     """
     sigma = numerics.herm_eig(state.sandwich_density)
     if sigma.values[0] <= 0.0:
@@ -69,19 +95,26 @@ def modular_data(state: GibbsState) -> ModularData:
     eig = HermitianEig(values=np.sqrt(sigma.values), vectors=sigma.vectors)
     omega = (eig.vectors * eig.values) @ numerics.dagger(eig.vectors)
     return ModularData(
-        omega=omega, eig=eig, cond_omega=float(eig.values[-1] / eig.values[0])
+        omega=omega,
+        eig=eig,
+        cond_omega=float(eig.values[-1] / eig.values[0]),
+        omega_sq=state.sandwich_density,
     )
 
 
 def omega_power(md: ModularData, exponent: complex) -> CMatrix:
-    """Omega^a for complex a through the cached eigenpairs."""
-    w = np.exp(exponent * np.log(md.eig.values.astype(complex)))
-    return (md.eig.vectors * w) @ numerics.dagger(md.eig.vectors)
+    """Omega^a for complex a through the eigenpairs, formed once per exponent."""
+    power = md.powers.get(exponent)
+    if power is None:
+        w = np.exp(exponent * np.log(md.eig.values.astype(complex)))
+        power = (md.eig.vectors * w) @ numerics.dagger(md.eig.vectors)
+        md.powers[exponent] = power
+    return power
 
 
-def state_via_vector(x: CMatrix, omega: CMatrix) -> complex:
-    """(X Omega | Omega) = tr(Omega X Omega) for Hermitian Omega."""
-    return complex(numerics.hs_inner(x @ omega, omega))
+def state_via_vector(v: CMatrix, omega: CMatrix) -> complex:
+    """omega(X) = (X Omega | Omega) from the vector V = X Omega."""
+    return numerics.hs_inner(v, omega)
 
 
 def tomita_s(md: ModularData, v: CMatrix) -> CMatrix:
@@ -90,13 +123,13 @@ def tomita_s(md: ModularData, v: CMatrix) -> CMatrix:
     On vectors of the form V = X Omega this is X^H Omega, the defining
     involution.
     """
-    omega_inv = omega_power(md, -1.0)
-    return numerics.dagger(md.omega @ v @ omega_inv)
+    return numerics.dagger(md.omega @ v @ omega_power(md, -1.0))
 
 
 def delta_apply(md: ModularData, v: CMatrix) -> CMatrix:
-    """Delta V = Omega^2 V Omega^{-2}, positive on the HS space."""
-    return md.omega @ md.omega @ v @ omega_power(md, -2.0)
+    """Delta V = Omega^2 V Omega^{-2}, positive on the HS space; Omega^2 is
+    the dense sandwich density, Omega^{-2} comes from the eigenpairs."""
+    return md.omega_sq @ v @ omega_power(md, -2.0)
 
 
 def delta_form(md: ModularData, v: CMatrix) -> float:
@@ -116,12 +149,14 @@ def modular_flow(md: ModularData, t: float, x: CMatrix) -> CMatrix:
 def _two_point(md: ModularData, x: CMatrix, y: CMatrix, z: complex) -> complex:
     """g(z) = (X sigma_z(Y) Omega | Omega), merged so factors stay bounded.
 
-    Written as tr((Omega X) Omega^{2iz} Y Omega^{1-2iz}), so only two Omega
-    powers are formed; for Im z in [-1/2, 0] both carry nonnegative real
-    exponents and cannot blow up.
+    By cyclicity g(z) = tr(Omega X Omega^{2iz} Y Omega^{-2iz} Omega)
+    = tr((X Omega^{2iz}) (Y Omega^{2-2iz})): two half-chains and one O(N^2)
+    dot.  For Im z in [-1, 0] both exponents have real part in [0, 2], so
+    no inverse power of Omega is formed.
     """
-    chain = (md.omega @ x) @ omega_power(md, 2j * z) @ y @ omega_power(md, 1.0 - 2j * z)
-    return complex(np.trace(chain))
+    left = x @ omega_power(md, 2j * z)
+    right = y @ omega_power(md, 2.0 - 2j * z)
+    return complex(np.einsum("ij,ji->", left, right))
 
 
 #: Imaginary shift at which the modular two-point function closes.  With
@@ -139,12 +174,14 @@ def verify_modular_kms(
     """max_t |g(t + MODULAR_KMS_SHIFT) - omega(sigma_t(Y) X)| along the modular flow.
 
     The vector state satisfies the thermal boundary condition at unit inverse
-    temperature with respect to its own modular flow.
+    temperature with respect to its own modular flow.  The left side takes
+    its powers of Omega from the eigenpairs; the right side reads the state
+    as omega(A) = tr(sigma A) with the dense sandwich density sigma = Omega^2.
     """
     res = 0.0
     for t in t_grid:
         t = float(t)
-        rhs = state_via_vector(modular_flow(md, t, y) @ x, md.omega)
+        rhs = numerics.hs_inner(modular_flow(md, t, y) @ x, md.omega_sq)
         res = max(res, abs(_two_point(md, x, y, t + MODULAR_KMS_SHIFT) - rhs))
     return res
 
@@ -157,9 +194,7 @@ def delta_matrix(md: ModularData) -> CMatrix:
     """
     if md.dim > ORACLE_DIM_MAX:
         raise ValueError(f"dense Delta oracle restricted to N <= {ORACLE_DIM_MAX}")
-    omega_sq = md.omega @ md.omega
-    omega_neg2 = omega_power(md, -2.0)
-    return np.kron(omega_sq, omega_neg2.T)
+    return np.kron(md.omega_sq, omega_power(md, -2.0).T)
 
 
 def delta_spectrum_expected(md: ModularData) -> np.ndarray:
@@ -170,7 +205,7 @@ def delta_spectrum_expected(md: ModularData) -> np.ndarray:
 
 
 def commuting_flow_residual(
-    ham: NonHermitianHamiltonian, md: ModularData, t: float, x: CMatrix
+    ham: NonHermitianHamiltonian, md: ModularData, x: CMatrix, t_grid: Sequence[float]
 ) -> float:
     """Deformed evolution vs. twisted modular flow in the commuting case.
 
@@ -180,15 +215,20 @@ def commuting_flow_residual(
 
         alpha^phi_t(X) = |T^H|^{2it/beta} sigma_{-t/beta}(X) |T^H|^{-2it/beta},
 
-    with sigma the (2it)-normalized flow of Omega_phi.  Returns the Frobenius
-    deviation of the two sides; meaningful only for commuting [T, H0].
+    with sigma the (2it)-normalized flow of Omega_phi.  Returns the largest
+    Frobenius deviation of the two sides over ``t_grid``, from one
+    eigendecomposition of T T^H; meaningful only for commuting [T, H0].
     """
     beta = ham.spectrum.beta
     t_op = ham.system.t_op
     # |T^H|^{2it/beta} = (T T^H)^{it/beta}
     gram = numerics.herm_eig(t_op @ numerics.dagger(t_op))
-    phases = np.exp((1j * t / beta) * np.log(gram.values.astype(complex)))
-    twist = numerics.matmul(gram.vectors * phases, numerics.dagger(gram.vectors))
-    rhs = twist @ modular_flow(md, -t / beta, x) @ numerics.dagger(twist)
-    lhs = evolve(ham, "phi", t, x)
-    return numerics.frobenius(lhs - rhs)
+    log_gram = np.log(gram.values.astype(complex))
+    res = 0.0
+    for t in t_grid:
+        phases = np.exp((1j * t / beta) * log_gram)
+        twist = numerics.matmul(gram.vectors * phases, numerics.dagger(gram.vectors))
+        rhs = twist @ modular_flow(md, -t / beta, x) @ numerics.dagger(twist)
+        lhs = evolve(ham, "phi", t, x)
+        res = max(res, numerics.frobenius(lhs - rhs))
+    return res

@@ -324,52 +324,50 @@ def check_kms(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> GroupR
 
 def check_modular(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> GroupResult:
     """Hilbert-Schmidt modular data for Omega_phi = |(T e^{-beta H0/2})*|/sqrt(Z_phi),
-    the square root of the sandwich density: unit HS norm of every state's
+    the square root of the sandwich density sigma: unit HS norm of every state's
     Omega, J Delta^{1/2}(X Omega) = X* Omega, omega_phi(X) = (X Omega | Omega),
-    (Delta V | V) two-sided against sum_jk (w_j/w_k)^2 |V~_jk|^2 in Omega's
-    eigenbasis, and the flow sigma_t(X) = Omega^{2it} X Omega^{-2it}: group law,
-    *-property, modular KMS condition and spectrum of Delta {(w_j/w_k)^2}."""
+    (Delta X | X) two-sided, with Omega^2 read as sigma, against
+    sum_jk (w_j/w_k)^2 |X~_jk|^2 in Omega's eigenbasis, and the flow
+    sigma_t(X) = Omega^{2it} X Omega^{-2it}: group law, *-property, modular
+    KMS condition (powers of Omega against omega = tr(sigma .)) and spectrum of
+    Delta {(w_j/w_k)^2}.  The observables are drawn once and read by every
+    sub-check; each power of Omega and each flow unitary is formed once."""
     system, spectrum = inst.system, inst.spectrum
     rng = _group_rng(seed, "modular")
     n = system.dim
     states = {k: gb.gibbs_state(system, spectrum, k) for k in ("f", "phi", "psi")}
     datas = {k: md.modular_data(s) for k, s in states.items()}
     data = datas["phi"]
+    omega = data.omega
     tol = md.modular_tolerance(data.cond_omega)
+    xs = [models.random_observable(n, rng) for _ in range(N_OBSERVABLES + 1)]
 
     r_norm = max(abs(numerics.frobenius(d.omega) - 1.0) for d in datas.values())
     r_tomita = r_state = r_pos = r_flowstar = r_vecflow = 0.0
-    for _ in range(N_OBSERVABLES):
-        x = models.random_observable(n, rng)
-        v = models.random_observable(n, rng)
+    t_probe = 0.8
+    for x in xs[:N_OBSERVABLES]:
+        # X Omega and sigma_t(X) are formed once and read by every sub-check below
+        x_h = numerics.dagger(x)
+        x_omega = x @ omega
+        flowed = md.modular_flow(data, t_probe, x)
         r_tomita = max(
-            r_tomita,
-            numerics.frobenius(
-                md.tomita_s(data, x @ data.omega) - numerics.dagger(x) @ data.omega
-            ),
+            r_tomita, numerics.frobenius(md.tomita_s(data, x_omega) - x_h @ omega)
         )
         r_state = max(
             r_state,
-            abs(md.state_via_vector(x, data.omega) - gb.omega_trace(states["phi"], x)),
+            abs(md.state_via_vector(x_omega, omega) - gb.omega_trace(states["phi"], x)),
         )
-        form = md.delta_form(data, v)
-        r_pos = max(r_pos, abs(numerics.hs_inner(md.delta_apply(data, v), v) - form) / form)
-        t_probe = 0.8
+        form = md.delta_form(data, x)
+        r_pos = max(r_pos, abs(numerics.hs_inner(md.delta_apply(data, x), x) - form) / form)
         r_flowstar = max(
             r_flowstar,
-            numerics.frobenius(
-                numerics.dagger(md.modular_flow(data, t_probe, x))
-                - md.modular_flow(data, t_probe, numerics.dagger(x))
-            ),
+            numerics.frobenius(numerics.dagger(flowed) - md.modular_flow(data, t_probe, x_h)),
         )
         r_vecflow = max(
             r_vecflow,
-            numerics.frobenius(
-                md.modular_flow(data, t_probe, x @ data.omega)
-                - md.modular_flow(data, t_probe, x) @ data.omega
-            ),
+            numerics.frobenius(md.modular_flow(data, t_probe, x_omega) - flowed @ omega),
         )
-    x = models.random_observable(n, rng)
+    x, y = xs[-1], xs[0]
     r_flowgroup = max(
         numerics.frobenius(
             md.modular_flow(data, s + t, x)
@@ -377,9 +375,7 @@ def check_modular(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> Gr
         )
         for s, t in ((0.4, 1.1), (-2.0, 3.3))
     )
-    r_mkms = md.verify_modular_kms(
-        data, x, models.random_observable(n, rng), (0.0, 0.5, 1.7, -2.3)
-    )
+    r_mkms = md.verify_modular_kms(data, x, y, (0.0, 0.5, 1.7, -2.3))
 
     subs = [
         SubCheck("hs_norms", r_norm, 1e-12),
@@ -400,10 +396,7 @@ def check_modular(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> Gr
     h0 = ham.h0
     commutator = numerics.matmul(system.t_op, h0) - numerics.matmul(h0, system.t_op)
     if numerics.frobenius(commutator) < 1e-13 * max(numerics.frobenius(h0), 1.0):
-        r_commute = max(
-            md.commuting_flow_residual(ham, data, t, models.random_observable(n, rng))
-            for t in (0.6, -1.4)
-        )
+        r_commute = md.commuting_flow_residual(ham, data, y, (0.6, -1.4))
         subs.append(SubCheck("commuting_flow_relation", r_commute, 1e-11))
     return _finish("modular", subs)
 

@@ -210,7 +210,10 @@ def test_criterion_08_modular(rng):
             worst_s = max(worst_s, dev / tol_s)
             worst_state = max(
                 worst_state,
-                abs(modular.state_via_vector(x, md.omega) - gibbs.omega_trace(state, x)),
+                abs(
+                    modular.state_via_vector(x @ md.omega, md.omega)
+                    - gibbs.omega_trace(state, x)
+                ),
             )
     worst_oracle = 0.0
     for name, n in [("jordan2", None), ("oscillator", 4), ("diag_sqrt", 6)]:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import instance
-from rieszgibbs import dynamics, gibbs, modular, numerics, riesz, suites
+from rieszgibbs import dynamics, gibbs, models, modular, numerics, riesz, suites
 from rieszgibbs.errors import Singular
 from rieszgibbs.models import random_observable, random_unitary
 
@@ -110,16 +110,44 @@ class TestOmegaVectors:
         suites.check_modular(instance("shift_half", n=16), 0, ())
         assert len(calls) == 3
 
+    def test_check_modular_forms_each_power_once_and_draws_observables_once(self, monkeypatch):
+        # Omega^-1, Omega^-2, eleven flow unitaries and the seven two-point
+        # powers not already formed; the observables are shared by every sub-check
+        datas, draws = [], []
+        make, draw = modular.modular_data, models.random_observable
+        monkeypatch.setattr(modular, "modular_data", lambda s: datas.append(make(s)) or datas[-1])
+        monkeypatch.setattr(
+            models, "random_observable", lambda n, rng: draws.append(n) or draw(n, rng)
+        )
+        suites.check_modular(instance("shift_half", n=16), 0, ())
+        assert len(datas) == 3
+        assert sum(len(d.powers) for d in datas) <= 20
+        assert len(draws) == suites.N_OBSERVABLES + 1 == 13
+
+    def test_commuting_check_takes_one_gram_eigendecomposition(self, monkeypatch):
+        # three modular vectors and one T T^H for both commuting-flow times
+        calls = []
+        herm_eig = numerics.herm_eig
+        monkeypatch.setattr(numerics, "herm_eig", lambda a: calls.append(a) or herm_eig(a))
+        result = suites.check_modular(instance("diag_sqrt", n=16), 0, ())
+        assert "commuting_flow_relation" in [s.name for s in result.subchecks]
+        assert len(calls) == 4
+
+    def test_omega_square_is_the_sandwich_density(self):
+        inst = instance("shift_half", n=8)
+        state = gibbs.gibbs_state(inst.system, inst.spectrum, "phi")
+        assert modular.modular_data(state).omega_sq is state.sandwich_density
+
 
 class TestStateViaVector:
     def test_unital(self, jordan2):
         omega = omega_of(jordan2.system, jordan2.spectrum)
-        assert modular.state_via_vector(np.eye(2), omega) == pytest.approx(1.0, abs=1e-13)
+        assert modular.state_via_vector(omega, omega) == pytest.approx(1.0, abs=1e-13)
 
     def test_jordan2_value(self, jordan2):
         omega = omega_of(jordan2.system, jordan2.spectrum)
         x = np.diag([1.0, 0.0]).astype(complex)
-        assert modular.state_via_vector(x, omega).real == pytest.approx(
+        assert modular.state_via_vector(x @ omega, omega).real == pytest.approx(
             0.7880584423829146, abs=1e-13
         )
 
@@ -129,7 +157,7 @@ class TestStateViaVector:
         state = gibbs.gibbs_state(inst.system, inst.spectrum, "phi")
         worst = max(
             abs(
-                modular.state_via_vector(x, omega) - gibbs.omega_trace(state, x)
+                modular.state_via_vector(x @ omega, omega) - gibbs.omega_trace(state, x)
             )
             for x in (random_observable(16, rng) for _ in range(50))
         )
@@ -231,6 +259,28 @@ class TestDeltaOperator:
         )
         assert not positivity().passed
 
+    @pytest.mark.parametrize(
+        "exponent, name", [(-1.0, "tomita_involution"), (-2.0, "delta_positivity")]
+    )
+    def test_planted_cached_power_fails_its_subcheck(self, monkeypatch, exponent, name):
+        # the cached Omega^-1 (Omega^-2) is the one S (Delta) reads
+        inst = instance("shift_half", n=8)
+
+        def subcheck():
+            result = suites.check_modular(inst, 0, ())
+            return next(s for s in result.subchecks if s.name == name)
+
+        assert subcheck().passed
+        make = modular.modular_data
+
+        def planted(state):
+            data = make(state)
+            data.powers[exponent] = 1.001 * modular.omega_power(data, exponent)
+            return data
+
+        monkeypatch.setattr(modular, "modular_data", planted)
+        assert not subcheck().passed
+
     def test_spectrum_against_dense_oracle(self):
         for name, n in (("jordan2", None), ("oscillator", 4), ("shift_half", 6)):
             inst = instance(name, n=n)
@@ -308,8 +358,7 @@ class TestCommutingFlowRelation:
             ham = dynamics.hamiltonian(inst.system, inst.spectrum)
             md = data_of(inst.system, inst.spectrum)
             x = random_observable(n, rng)
-            for t in (0.4, -1.1):
-                assert modular.commuting_flow_residual(ham, md, t, x) <= 1e-11
+            assert modular.commuting_flow_residual(ham, md, x, (0.4, -1.1)) <= 1e-11
 
     def test_modular_flow_matches_reference_evolution_for_identity_t(self, rng):
         # T = I: sigma_t is the reference evolution at rescaled time -beta t
