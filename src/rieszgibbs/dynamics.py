@@ -31,8 +31,8 @@ per time, and no propagator.  Phases compose exactly there, so an identity
 never compares two eigenbasis forms: each pits one eigenbasis side against
 one dense similarity side, ``evolve`` = U_t X U_{-t} or ``dense_evolutions``,
 which serves all three evolutions at +-t from one phi propagator pair and
-one frame propagator.  For a real family (``riesz.family``) and real t the
-pair is one similarity, U_{-t} = conj(U_t); a complex t or family forms two.
+one frame propagator, at real t only.  A real family (``riesz.family``)
+forms the pair as one similarity, U_{-t} = conj(U_t); a complex one as two.
 """
 
 from __future__ import annotations
@@ -84,17 +84,17 @@ def propagator(ham: NonHermitianHamiltonian, which: FamilyKind, t: complex) -> C
     return family(ham.system, which).similarity(np.exp(1j * t * ham.spectrum.lambdas))
 
 
-def evolve(ham: NonHermitianHamiltonian, which: FamilyKind, t: complex, x: CMatrix) -> CMatrix:
-    """U_t X U_{-t} with the propagator of ``which``.
+def evolve(ham: NonHermitianHamiltonian, which: FamilyKind, t: float, x: CMatrix) -> CMatrix:
+    """U_t X U_{-t} with the propagator of ``which``, for real t only.
 
-    For real t, U_{-t} is the similarity of the conjugate phases, one
-    conjugation of U_t for a real family; a complex t forms both.
+    U_{-t} is the similarity of the conjugate phases, one conjugation of U_t
+    for a real family.  A non-real t raises ValueError: for it the conjugate
+    phases would silently give U_z X conj(U_z), not U_z X U_{-z}.
     """
-    if np.isreal(t):
-        phases = np.exp(1j * t * ham.spectrum.lambdas)
-        u_fwd, u_bwd = family(ham.system, which).similarity_pair(phases)
-    else:
-        u_fwd, u_bwd = propagator(ham, which, t), propagator(ham, which, -t)
+    if not np.isreal(t):
+        raise ValueError(f"evolve takes a real time, got t = {t}")
+    phases = np.exp(1j * t * ham.spectrum.lambdas)
+    u_fwd, u_bwd = family(ham.system, which).similarity_pair(phases)
     return u_fwd @ x @ u_bwd
 
 

@@ -6,14 +6,15 @@ For observables X, Y the two-point function
 
 with C the constructing operator of the family (``riesz.family``: C = T for
 the phi state, C = (T^{-1})^H for the psi state, C = I for the frame state)
-is entire at finite dimension and matches the state on both strip boundaries,
-up to a twist by M = C C^H on the shifted one:
+matches the state on both strip boundaries, up to a twist by M = C C^H on the
+shifted one:
 
     f(t)          = omega(X alpha_t(Y)),
     f(t + i beta) = omega(M^{-1} alpha_t(Y) M X).
 
 For a unitary constructing operator the twist drops out and the boundary pair
-is the textbook thermal condition.
+is the textbook thermal condition.  At finite N, f is a finite exponential
+sum in z (below), entire whatever its kernel: no check claims analyticity.
 
 Spectral contraction.  In the H0 eigenbasis (frame F, energies lambda) put
 A~ = (CF)^H X (CF) and B~ = F^H C^{-1} Y C F.  Then
@@ -54,7 +55,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from . import numerics
-from .gibbs import GibbsState, omega_sum
+from .gibbs import GibbsState
 from .numerics import CMatrix
 
 
@@ -220,43 +221,6 @@ def boundary_residuals(rows: Sequence[KmsRow]) -> BoundaryResiduals:
 def verify_kms_like(sf: StripFunction, t_grid: Sequence[float]) -> BoundaryResiduals:
     """Boundary residuals of the strip function's family over a real grid."""
     return boundary_residuals(verification_rows(sf, t_grid)[0])
-
-
-def cauchy_mean_residual(sf: StripFunction, z0: complex) -> float:
-    """|mean of f over a circle around z0 - f(z0)|, an interior-analyticity probe.
-
-    The circle has 32 nodes and a radius of half the distance to the nearer
-    boundary (capped at 0.5), so it stays inside the open strip.
-    """
-    z0 = complex(z0)
-    margin = min(z0.imag, sf.beta - z0.imag)
-    if margin <= 0.0:
-        raise ValueError("z0 must lie strictly inside the strip")
-    radius = min(0.5 * margin, 0.5)
-    nodes = 32
-    angles = 2.0 * np.pi * np.arange(nodes) / nodes
-    values = strip_values(sf, np.append(z0 + radius * np.exp(1j * angles), z0))
-    return float(abs(values[:-1].mean() - values[-1]))
-
-
-def nonhermitian_density_residual(state: GibbsState, xs: Sequence[CMatrix]) -> float:
-    """Largest deviation of omega(X) from tr(e^{-beta H} M X)/Z over ``xs``,
-    with M = C C^H.
-
-    e^{-beta H} is the similarity transform C e^{-beta H0} C^{-1} (for the phi
-    state T e^{-beta H0} T^{-1}); the identity rewrites the state as a trace
-    against the non-Hermitian density e^{-beta H} M / Z.  Its adjoint is formed
-    once here from the state's cached e^{-beta H} and M, each trace is one dot
-    against it, and each is compared with the defining sum.
-    """
-    density_h = np.asarray(
-        numerics.dagger(state.twist) @ numerics.dagger(state.boltzmann) / state.partition,
-        dtype=complex,
-    )
-    return max(
-        (abs(numerics.hs_inner(x, density_h) - omega_sum(state, x)) for x in xs),
-        default=0.0,
-    )
 
 
 def dual_strip_residual(

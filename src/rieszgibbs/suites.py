@@ -269,8 +269,10 @@ def check_kms(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> GroupR
     """strip function f_XY(z) = (1/Z_phi) tr(T* X alpha^phi_z(Y) T e^{-beta H0})
     matches omega_phi(X alpha^phi_t(Y)) on the real boundary and
     omega_phi((TT*)^-1 alpha^phi_t(Y) TT* X) on the shifted boundary
-    (psi version twists with TT* inverted); interior analyticity via the
-    Cauchy mean value."""
+    (psi version twists with TT* inverted); the psi strip function agrees
+    with the phi one of the dual system; when TT* commutes with e^{-beta H}
+    the twist migrates onto X.  f is a finite exponential sum, entire by
+    construction, so only its boundary values are certified."""
     system, spectrum = inst.system, inst.spectrum
     rng = _group_rng(seed, "kms")
     n = system.dim
@@ -284,15 +286,6 @@ def check_kms(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> GroupR
     # pair per grid point and its mirror serves the rows of both
     rows = dict(zip(("phi", "psi"), km.verification_rows(sf_phi, t_grid, sf_psi)))
 
-    beta = spectrum.beta
-    interior = [
-        complex(t0, s0 * beta)
-        for t0, s0 in ((0.0, 0.5), (1.3, 0.25), (-2.1, 0.75), (0.4, 0.6), (-0.8, 0.35))
-    ]
-    r_cauchy = max(km.cauchy_mean_residual(sf_phi, z0) for z0 in interior)
-    r_density = km.nonhermitian_density_residual(
-        state_phi, [models.random_observable(n, rng) for _ in range(4)]
-    )
     # phi state of the dual system: its columns come from a fresh inversion of (T^-1)^H
     state_dual = gb.gibbs_state(riesz.dual_system(system), spectrum, "phi")
     r_dual = km.dual_strip_residual(
@@ -302,8 +295,6 @@ def check_kms(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> GroupR
     subs = [
         SubCheck("phi_boundaries", max(km.boundary_residuals(rows["phi"])), tol),
         SubCheck("psi_boundaries", max(km.boundary_residuals(rows["psi"])), tol),
-        SubCheck("analyticity", r_cauchy, 1e-9),
-        SubCheck("density_identity", r_density, 1e-11),
         SubCheck("dual_consistency", r_dual, 1e-12 * max(1.0, system.cond_t**2)),
     ]
     # degenerate twist: when TT^H commutes with e^{-beta H} the shifted-boundary
@@ -313,7 +304,7 @@ def check_kms(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> GroupR
         ham = dyn.hamiltonian(system, spectrum)
         migrated = numerics.matmul(twist, x, numerics.inverse(twist)[0])
         ts = (0.0, 0.9, 4.2)
-        shifted = km.strip_values(sf_phi, [t + 1j * beta for t in ts])
+        shifted = km.strip_values(sf_phi, [t + 1j * spectrum.beta for t in ts])
         r_degenerate = max(
             abs(f - gb.omega_trace(state_phi, dyn.evolve(ham, "phi", t, y) @ migrated))
             for t, f in zip(ts, shifted)
@@ -328,7 +319,7 @@ def check_modular(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> Gr
     Omega, J Delta^{1/2}(X Omega) = X* Omega, omega_phi(X) = (X Omega | Omega),
     (Delta X | X) two-sided, with Omega^2 read as sigma, against
     sum_jk (w_j/w_k)^2 |X~_jk|^2 in Omega's eigenbasis, and the flow
-    sigma_t(X) = Omega^{2it} X Omega^{-2it}: group law, *-property, modular
+    sigma_t(X) = Omega^{2it} X Omega^{-2it}: group law, vector flow, modular
     KMS condition (powers of Omega against omega = tr(sigma .)) and spectrum of
     Delta {(w_j/w_k)^2}.  The observables are drawn once and read by every
     sub-check; each power of Omega and each flow unitary is formed once."""
@@ -343,7 +334,7 @@ def check_modular(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> Gr
     xs = [models.random_observable(n, rng) for _ in range(N_OBSERVABLES + 1)]
 
     r_norm = max(abs(numerics.frobenius(d.omega) - 1.0) for d in datas.values())
-    r_tomita = r_state = r_pos = r_flowstar = r_vecflow = 0.0
+    r_tomita = r_state = r_pos = r_vecflow = 0.0
     t_probe = 0.8
     for x in xs[:N_OBSERVABLES]:
         # X Omega and sigma_t(X) are formed once and read by every sub-check below
@@ -359,10 +350,6 @@ def check_modular(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> Gr
         )
         form = md.delta_form(data, x)
         r_pos = max(r_pos, abs(numerics.hs_inner(md.delta_apply(data, x), x) - form) / form)
-        r_flowstar = max(
-            r_flowstar,
-            numerics.frobenius(numerics.dagger(flowed) - md.modular_flow(data, t_probe, x_h)),
-        )
         r_vecflow = max(
             r_vecflow,
             numerics.frobenius(md.modular_flow(data, t_probe, x_omega) - flowed @ omega),
@@ -383,7 +370,6 @@ def check_modular(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> Gr
         SubCheck("state_representation", r_state, max(1e-11, gb.state_tolerance(system.cond_t, n))),
         SubCheck("delta_positivity", r_pos, 1e-12),
         SubCheck("flow_group_law", r_flowgroup, tol),
-        SubCheck("flow_star", r_flowstar, tol),
         SubCheck("vector_flow", r_vecflow, tol),
         SubCheck("modular_kms", r_mkms, tol),
     ]

@@ -181,8 +181,15 @@ def test_criterion_07_kms_boundaries(rng):
         for t in t_grid
     )
 
-    interior = [0.5j, 0.3 + 0.25j, -1.2 + 0.75j, 2.0 + 0.5j, -4.0 + 0.4j]
-    cauchy = max(kms.cauchy_mean_residual(sf, z0) for z0 in interior)
+    # Cauchy mean value over a 32-node circle of radius half the distance to
+    # the nearer boundary (at most 0.5) around each interior point
+    beta = osc.spectrum.beta
+    nodes = np.exp(2j * np.pi * np.arange(32) / 32)
+    cauchy = 0.0
+    for z0 in [0.5j, 0.3 + 0.25j, -1.2 + 0.75j, 2.0 + 0.5j, -4.0 + 0.4j]:
+        radius = min(0.5 * z0.imag, 0.5 * (beta - z0.imag), 0.5)
+        values = kms.strip_values(sf, np.append(z0 + radius * nodes, z0))
+        cauchy = max(cauchy, abs(values[:-1].mean() - values[-1]))
     ok = worst <= 1.0 and textbook <= 1e-12 and cauchy <= 1e-9
     report(
         7,

@@ -182,23 +182,13 @@ class TestRealFamilies:
             np.testing.assert_array_equal(s, out)
             np.testing.assert_array_equal(s_conj, out.conj())
 
-    def test_evolve_at_complex_time_forms_both_propagators(self, rng):
-        # for complex t, U_{-t} is not conj(U_t): evolve must take the
-        # two-similarity formula U_t X U_{-t}
+    def test_evolve_rejects_a_complex_time(self, rng):
+        # for complex t, U_{-t} is not conj(U_t): evolve refuses the time
+        # rather than return U_t X conj(U_t) from the real-family shortcut
         inst = preset_system("shift_half")
         ham = dynamics.hamiltonian(inst.system, inst.spectrum)
-        fam = riesz.family(inst.system, "phi")
-        vectors, duals_h = fam.vectors.astype(complex), fam.duals_h.astype(complex)
-        lam, t = inst.spectrum.lambdas, 0.7 + 0.3j
-        u_fwd = (vectors * np.exp(1j * t * lam)) @ duals_h
-        u_bwd = (vectors * np.exp(-1j * t * lam)) @ duals_h
-        x = models.random_observable(16, rng)
-        expected = u_fwd @ x @ u_bwd
-        out = dynamics.evolve(ham, "phi", t, x)
-        scale = numerics.frobenius(u_fwd) * numerics.frobenius(x) * numerics.frobenius(u_bwd)
-        assert numerics.frobenius(out - expected) <= 1e-14 * scale
-        shortcut = u_fwd @ x @ u_fwd.conj()
-        assert numerics.frobenius(shortcut - expected) > 1e-3 * numerics.frobenius(expected)
+        with pytest.raises(ValueError):
+            dynamics.evolve(ham, "phi", 0.7 + 0.3j, models.random_observable(16, rng))
 
 
 def test_frame_rotation_preserves_biorthogonality(rng):
