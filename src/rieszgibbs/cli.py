@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import io
 import json
 import logging
@@ -339,6 +340,7 @@ def _setup_logging() -> None:
     )
 
 
+@functools.cache  # built once per process; parsing leaves no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riesz-gibbs",

@@ -22,6 +22,7 @@ state and route, on first use, in O(N^3), and stored as their adjoints:
 (sigma is its own adjoint by its formula), both complex128 even for a real
 family, so that no dot casts them again.  Each observable then costs one
 contiguous O(N^2) dot, tr(rho X) = (X | rho^H) = ``numerics.hs_inner(X, rho^H)``.
+Each route also takes a (m, N, N) stack of observables, one numpy call per stack.
 K omits the trailing unitary F^H of C e^{-beta H0/2} = (C F) diag(w^{1/2}) F^H,
 which K K^H does not see.  sigma is also Omega^2 for the state's modular
 vector, whose eigenpairs ``modular.modular_data`` reads off sigma's.
@@ -173,10 +174,10 @@ def gibbs_state(system: RieszSystem, spectrum: Spectrum, kind: FamilyKind) -> Gi
 
 
 def _observable(state: GibbsState, x: CMatrix) -> CMatrix:
-    """``x`` as an array, rejected unless it is N x N for the state's N."""
+    """``x`` as an array, rejected unless it is N x N (or a stack of them) for the state's N."""
     x = np.asarray(x)
     n = state.spectrum.dim
-    if x.shape != (n, n):
+    if x.ndim < 2 or x.shape[-2:] != (n, n):
         raise DimensionMismatch(f"expected a {n}x{n} observable, got shape {x.shape}")
     return x
 
@@ -185,8 +186,8 @@ def omega_sum(state: GibbsState, x: CMatrix) -> complex:
     """Weighted sum over the family: (1/Z) sum_n w_n (X v_n | v_n), O(N^3) per X."""
     x = _observable(state, x)
     v = state.family.vectors
-    quad = np.einsum("in,in->n", v.conj(), numerics.matmul(x, v))
-    return complex(np.sum(state.weights * quad) / state.partition)
+    quad = np.einsum("in,...in->...n", v.conj(), numerics.matmul(x, v))
+    return np.sum(state.weights * quad, axis=-1) / state.partition
 
 
 def omega_trace(state: GibbsState, x: CMatrix) -> complex:
@@ -210,7 +211,7 @@ def omega_ratio_residual(state_phi: GibbsState, state_f: GibbsState, x: CMatrix)
     pulled = numerics.matmul(numerics.dagger(c_op), x, c_op)
     lhs = omega_trace(state_phi, x)
     rhs = (state_f.partition / state_phi.partition) * omega_trace(state_f, pulled)
-    return abs(lhs - rhs)
+    return numerics.modulus(lhs - rhs)
 
 
 class FaithfulnessWitness(NamedTuple):

@@ -40,8 +40,9 @@ One propagator pair serves a grid point and its mirror, alpha_t(Y) =
 U_t Y U_{-t} and alpha_{-t}(Y) = U_{-t} Y U_t, and the rows of both deformed
 states: psi's propagators are the adjoints of phi's, U^psi_t = (U^phi_{-t})^H,
 so alpha^psi_t(Y) = alpha^phi_t(Y^H)^H.  A mirror pair costs 8 products for
-its four rows and 2 similarities, or 1 for a real family, whose U_{-t} is
-conj(U_t) (``Family.similarity_pair``).  A boundary residual therefore always
+its four rows and 2 propagators, or 1 for a real family, whose U_{-t} is
+conj(U_t) (``Family.similarity_pair``), formed for ``numerics.block_size(N)``
+distinct |t| at a time as one stack.  A boundary residual therefore always
 compares two different evaluations of the same number.
 """
 
@@ -157,9 +158,9 @@ def verification_rows(
     values come from ``strip_values``, the right-hand sides from the dense
     oracle with the propagators U_{+-t} of ``sf``'s family only: the adjoint
     family's are U'_t = (U_{-t})^H, so its rows read alpha'_t(Y') =
-    alpha_t(Y'^H)^H.  One pair serves t and -t, one pair is live at a time,
-    and a repeated point is evaluated once; a real family forms U_{-t} as
-    conj(U_t).
+    alpha_t(Y'^H)^H.  One pair serves t and -t, one block of pairs is live at
+    a time, and a repeated point is evaluated once; a real family forms U_{-t}
+    as conj(U_t).
     """
     strips = [sf]
     if adjoint is not None:
@@ -170,38 +171,37 @@ def verification_rows(
     values = [strip_values(s, np.concatenate([ts, ts + 1j * s.beta])) for s in strips]
     # (operand to evolve, trace factors, conjugate the trace?): tr(K E) = (E | K^H)
     # against K^H stored contiguous for sf, tr(K' W^H) = conj((W | K')) for the adjoint
-    operands = [
-        (sf.y, [np.ascontiguousarray(numerics.dagger(k)) for k in _trace_factors(sf)], False)
-    ]
+    operands = [(sf.y, np.stack([numerics.dagger(k) for k in _trace_factors(sf)]), False)]
     if adjoint is not None:
-        operands.append((numerics.dagger(adjoint.y), list(_trace_factors(adjoint)), True))
+        operands.append((numerics.dagger(adjoint.y), np.stack(_trace_factors(adjoint)), True))
     fam, lam = sf.state.family, sf.state.spectrum.lambdas
-
-    def boundary_rhs(u_fwd: CMatrix, u_bwd: CMatrix) -> list[list[complex]]:
-        out = []
-        for strip, (y, factors, conj) in zip(strips, operands):
-            evolved = u_fwd @ y @ u_bwd
-            traces = [numerics.hs_inner(evolved, k) / strip.state.partition for k in factors]
-            out.append([v.conjugate() for v in traces] if conj else traces)
-        return out
-
+    # each |t| forms its pair at its first grid point t0 (0.0 and -0.0 are one
+    # point), and the pair serves -t0 too when the grid holds it
     points = ts.tolist()
-    grid = set(points)
-    rhs: dict[float, list[list[complex]]] = {}
-    for t in points:
-        if t not in rhs:
-            u_fwd, u_bwd = fam.similarity_pair(np.exp(1j * t * lam))
-            rhs[t] = boundary_rhs(u_fwd, u_bwd)
-            if t and -t in grid:
-                rhs[-t] = boundary_rhs(u_bwd, u_fwd)
+    t0 = np.array(list({abs(t): t for t in reversed(points)}.values()))
+    mirrored = np.array([t != 0.0 and -t in points for t in t0.tolist()], dtype=bool)
+    # rhs[strip, point, k]: the trace against factor k at each grid point
+    rhs = np.zeros((len(strips), ts.size, 2), dtype=complex)
+    size = numerics.block_size(sf.state.spectrum.dim)
+    for lo in range(0, t0.size, size):
+        at = slice(lo, lo + size)
+        u_fwd, u_bwd = fam.similarity_pair(np.exp(1j * t0[at, None] * lam))
+        sel = mirrored[at]
+        mirror = (u_bwd, u_fwd) if sel.all() else (u_bwd[sel], u_fwd[sel])  # copy if must
+        for times, (left, right) in ((t0[at], (u_fwd, u_bwd)), (-t0[at][sel], mirror)):
+            # evaluation e serves every grid point equal to times[e]
+            e, point = np.nonzero(times[:, None] == ts)
+            for into, (y, factors, conj) in zip(rhs, operands):
+                traces = numerics.hs_inner((left @ y @ right)[:, None], factors)
+                into[point] = (traces.conj() if conj else traces)[e]
     out = []
-    for i, strip_vals in enumerate(values):
-        rows = []
-        for t, f, f_shift in zip(points, strip_vals[: ts.size], strip_vals[ts.size :]):
-            rhs_real, rhs_shift = rhs[t][i]
-            res = float(abs(f - rhs_real)), float(abs(f_shift - rhs_shift))
-            rows.append(KmsRow(t, float(f.real), float(f.imag), *res))
-        out.append(rows)
+    for strip, strip_vals, strip_rhs in zip(strips, values, rhs):
+        # divided part by part, as Python divides a complex by a float
+        strip_rhs = (strip_rhs.view(np.float64) / strip.state.partition).view(complex)
+        f = strip_vals.reshape(2, ts.size).T
+        res = numerics.modulus(f - strip_rhs)
+        columns = (f[:, 0].real, f[:, 0].imag, res[:, 0], res[:, 1])
+        out.append([KmsRow(*row) for row in zip(points, *(c.tolist() for c in columns))])
     return out
 
 

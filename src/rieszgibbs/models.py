@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import entropy as entropy_mod
 from . import kms as kms_mod
+from . import numerics
 from .errors import BadModel, Singular
 from .gibbs import (
     Spectrum,
@@ -308,8 +309,18 @@ def random_unitary(n: int, rng: np.random.Generator) -> CMatrix:
 
 def random_observable(n: int, rng: np.random.Generator) -> CMatrix:
     """Unit-Frobenius random observable."""
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return a / np.linalg.norm(a, "fro")
+    return next(observable_blocks(n, 1, rng))[0]
+
+
+def observable_blocks(n: int, count: int, rng: np.random.Generator) -> Iterator[CMatrix]:
+    """``count`` unit-Frobenius random observables in (m, n, n) stacks of at most
+    ``numerics.block_size(n)``, each one (m, 2, n, n) draw: the same stream as
+    m draws of an n x n real part, then an n x n imaginary part."""
+    size = numerics.block_size(n)
+    for lo in range(0, count, size):
+        a = rng.standard_normal((min(size, count - lo), 2, n, n))
+        a = a[:, 0] + 1j * a[:, 1]
+        yield a / numerics.frobenius(a)[:, None, None]
 
 
 SWEEP_T_GRID = (0.0, 0.7, 3.1)

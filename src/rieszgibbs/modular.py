@@ -134,10 +134,10 @@ def delta_apply(md: ModularData, v: CMatrix) -> CMatrix:
 
 def delta_form(md: ModularData, v: CMatrix) -> float:
     """(Delta V | V) in Omega's eigenbasis: sum_jk (omega_j/omega_k)^2 |V~_jk|^2
-    with V~ = U^H V U, positive for V != 0."""
+    with V~ = U^H V U, positive for V != 0; an array of them over a stack."""
     vt = numerics.dagger(md.eig.vectors) @ v @ md.eig.vectors
     ratios = (md.eig.values[:, None] / md.eig.values[None, :]) ** 2
-    return float(np.sum(ratios * np.abs(vt) ** 2))
+    return np.sum(ratios * np.abs(vt) ** 2, axis=(-2, -1))
 
 
 def modular_flow(md: ModularData, t: float, x: CMatrix) -> CMatrix:

@@ -13,6 +13,11 @@ casts any other to complex128, so each factorization (``cond``, ``inverse``,
 factors, complex LAPACK otherwise.  ``matmul`` multiplies a real factor into
 a complex one with one real GEMM.
 
+Stacks.  ``dagger``, ``matmul``, ``hs_inner`` and ``frobenius`` take (..., N, N)
+stacks in one numpy call, one GEMM, dot or norm per matrix: each matrix of a
+C-contiguous stack gets the digits it gets alone.  A block (``block_size``) is the
+most N x N complex128 matrices within BLOCK_BYTES, at least one; one from N = 64 up.
+
 Conventions
 -----------
 - Inner product on vectors is linear in the *first* argument,
@@ -41,6 +46,13 @@ SVD_TOL = 1e-12
 HERM_TOL = 1e-10
 #: largest condition number for which an inverse is attempted
 COND_MAX = 1e12
+#: bytes of N x N complex128 matrices one block may hold (``block_size``)
+BLOCK_BYTES = 64 * 1024
+
+
+def block_size(n: int) -> int:
+    """The most N x N complex128 matrices within BLOCK_BYTES, at least one."""
+    return max(1, BLOCK_BYTES // (16 * n * n))
 
 
 def as_operator(a) -> CMatrix:
@@ -56,8 +68,8 @@ def as_operator(a) -> CMatrix:
 
 
 def dagger(a: CMatrix) -> CMatrix:
-    """Matrix adjoint (conjugate transpose)."""
-    return a.conj().T
+    """Matrix adjoint (conjugate transpose), of each matrix of a stack."""
+    return a.conj().mT
 
 
 def _real_times_complex(r: np.ndarray, c: CMatrix) -> CMatrix:
@@ -78,14 +90,28 @@ def matmul(a: np.ndarray, b: np.ndarray, *more: np.ndarray) -> np.ndarray:
     if kinds == "fc":
         out = _real_times_complex(a, b)
     elif kinds == "cf":
-        out = _real_times_complex(b.T, a.T).T
+        out = _real_times_complex(b.mT, a.mT).mT
     else:
         out = a @ b
     return matmul(out, *more) if more else out
 
 
+def _flat(a: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack as one row, in C order."""
+    return a.reshape(*a.shape[:-2], a.shape[-2] * a.shape[-1])
+
+
 def frobenius(a: CMatrix) -> float:
-    return float(np.linalg.norm(a, "fro"))
+    """Frobenius norm of a matrix, or the array of norms of a stack's matrices."""
+    if np.ndim(a) == 2:
+        return float(np.linalg.norm(a, "fro"))
+    flat = _flat(a)
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+
+
+def modulus(z: np.ndarray) -> np.ndarray:
+    """|z| entrywise with the digits of Python's ``abs``, unlike ``np.abs``."""
+    return np.hypot(z.real, z.imag)
 
 
 def hermiticity_defect(a: CMatrix) -> float:
@@ -181,9 +207,10 @@ def trace(a: CMatrix) -> complex:
 
 
 def hs_inner(s: CMatrix, t: CMatrix) -> complex:
-    """Trace inner product (S|T) = tr(T^H S), linear in the first argument."""
+    """Trace inner product (S|T) = tr(T^H S), linear in the first argument;
+    an array of them over stacks, whose leading axes broadcast."""
     s = np.asarray(s, dtype=complex)
     t = np.asarray(t, dtype=complex)
-    if s.shape != t.shape:
+    if s.shape[-2:] != t.shape[-2:]:
         raise ValueError(f"shape mismatch {s.shape} vs {t.shape}")
-    return complex(np.vdot(t, s))
+    return np.vecdot(_flat(t), _flat(s))

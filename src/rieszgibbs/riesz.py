@@ -165,15 +165,16 @@ class Family(NamedTuple):
 
     def similarity(self, g: np.ndarray) -> CMatrix:
         """C F diag(g) F^H C^{-1}: (vectors * g) @ duals_h for a complex family,
-        one real GEMM vectors @ (g * duals_h) for a real one."""
+        one real GEMM vectors @ (g * duals_h) for a real one.  Values of shape
+        (m, N) give the (m, N, N) stack of the m similarities."""
         if self.real:
-            return numerics.matmul(self.vectors, g[:, None] * self.duals_h)
-        return (self.vectors * g) @ self.duals_h
+            return numerics.matmul(self.vectors, g[..., :, None] * self.duals_h)
+        return (self.vectors * g[..., None, :]) @ self.duals_h
 
     def similarity_pair(self, g: np.ndarray) -> tuple[CMatrix, CMatrix]:
         """similarity(g) and similarity(conj(g)), the second as the conjugate
         of the first for a real family: U_t and U_{-t} for g = e^{it lambda}
-        with real t."""
+        with real t, or stacks of them for g of shape (m, N)."""
         s = self.similarity(g)
         return s, (s.conj() if self.real else self.similarity(g.conj()))
 

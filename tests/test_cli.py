@@ -437,3 +437,12 @@ def test_log_env_var_smoke(tmp_path, monkeypatch):
     monkeypatch.setenv("RIESZ_GIBBS_LOG", "info")
     config = jordan2_config(tmp_path, checks=["biorthogonality"])
     assert cli.main(["verify", "--config", config, "--no-timestamp"]) == 0
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+    # a reused parser carries nothing from one call to the next
+    assert cli.build_parser().parse_args(["sweep", "--config", "a.json"]).n_values is None
+    args = cli.build_parser().parse_args(["sweep", "--config", "b.json", "--n-values", "8"])
+    assert args.n_values == [8] and args.config == "b.json"
+    assert cli.build_parser().parse_args(["sweep", "--config", "a.json"]).n_values is None

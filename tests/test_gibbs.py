@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -345,3 +347,27 @@ def test_densities_are_formed_only_where_read(monkeypatch):
     # control: check_gibbs forms each density once per state that reads it
     suites.check_gibbs(instance("shift_half", n=16), 0, ())
     assert counts == {"_trace_density": 4, "_sandwich_density": 3}
+
+
+def test_underflowed_faithfulness_margin_fails_and_binds():
+    # e^{-beta lambda_N} sigma_min(T)^2 / Z_phi underflows to 0.0 at oscillator
+    # N=24, beta=40: the margin cannot be certified, so the sub-check fails with
+    # a finite residual, without a 0/0, and the group's row names it
+    inst = instance("oscillator", n=24, beta=40.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = suites.check_gibbs(inst, 0, ())
+    faith = {s.name: s for s in result.subchecks}["faithfulness_margin"]
+    assert np.isfinite(faith.residual) and not faith.passed and not result.passed
+    assert (result.max_residual, result.tolerance) == (faith.residual, faith.tolerance)
+
+
+def test_a_nan_residual_binds():
+    subs = [
+        suites.SubCheck("loose", 0.5, 1.0),
+        suites.SubCheck("undefined", float("nan"), 1e-12),
+        suites.SubCheck("tight", 2e-12, 1e-12),
+    ]
+    result = suites._finish("gibbs", subs)
+    assert np.isnan(result.max_residual) and result.tolerance == 1e-12
+    assert not result.passed

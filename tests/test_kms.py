@@ -315,6 +315,23 @@ class TestDenseOracle:
         for out in (rows, rows_adj):
             assert [np.signbit(r.t) for r in out] == [np.signbit(t) for t in t_grid]
 
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    @pytest.mark.parametrize("grid", list(GRIDS), ids=list(GRIDS))
+    def test_rows_do_not_depend_on_the_block_size(self, rng, monkeypatch, block, grid):
+        # N = 16 makes blocks of 16 distinct |t|; 1, 3 and 64 split the grids
+        # otherwise, with blocks of mirrored and unmirrored points mixed
+        system, spectrum = framed_shift_system(16, rng)
+        x, y, x_adj, y_adj = (random_observable(16, rng) for _ in range(4))
+        sf = strip(system, spectrum, x, y)
+        sf_adj = strip(system, spectrum, x_adj, y_adj, kind="psi")
+        t_grid = self.GRIDS[grid]
+        default = kms.verification_rows(sf, t_grid, sf_adj)
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", block * 16 * 16 * 16)
+        assert numerics.block_size(16) == block
+        assert kms.verification_rows(sf, t_grid, sf_adj) == default
+        (rows,) = kms.verification_rows(sf, t_grid)
+        assert [tuple(r) for r in rows] == fresh_oracle_rows(sf, t_grid)
+
     def test_mirror_pair_forms_its_propagators_once(self, rng, monkeypatch):
         system, spectrum = framed_shift_system(8, rng)
         x, y = random_observable(8, rng), random_observable(8, rng)
@@ -325,20 +342,20 @@ class TestDenseOracle:
         similarity = riesz.Family.similarity
 
         def counting(fam, g):
-            phases.append(g)
+            # one propagator per row of a (m, N) block of phases
+            phases.extend(np.atleast_2d(g))
             return similarity(fam, g)
 
         monkeypatch.setattr(riesz.Family, "similarity", counting)
         kms.verification_rows(sf, DEFAULT_GRID, sf_psi)
-        # U_t and U_{-t}, one similarity each, for 20 mirror pairs and t = 0,
-        # serve the rows of both states
+        # U_t and U_{-t} for 20 mirror pairs and t = 0 serve the rows of both states
         assert len(phases) == 42
         phases.clear()
         kms.verification_rows(sf, (-2.0, 0.5, 2.0, -0.5, 2.0, 0.0, -0.0))
-        # lambda_0 = 1, so each pair's forward phase e^{i t lambda_0} names |t|
+        # lambda_0 = 1, so each propagator's phase e^{+-i t lambda_0} names |t|
         assert len(phases) == 6
-        formed = sorted(abs(np.angle(g[0])) for g in phases[::2])
-        assert formed == pytest.approx([0.0, 0.5, 2.0], abs=1e-15)
+        formed = sorted(abs(np.angle(g[0])) for g in phases)
+        assert formed == pytest.approx([0.0, 0.0, 0.5, 0.5, 2.0, 2.0], abs=1e-15)
 
     def test_partner_must_be_the_adjoint_family(self, rng):
         system, spectrum = framed_shift_system(8, rng)
@@ -373,7 +390,7 @@ def test_check_kms_similarity_count(name, count):
     similarity = riesz.Family.similarity
 
     def counting(fam, g):
-        calls.append(g)
+        calls.extend(np.atleast_2d(g))
         return similarity(fam, g)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -409,7 +426,7 @@ def test_degenerate_twist_probe_forms_only_propagators(monkeypatch, make, count)
     similarity = riesz.Family.similarity
 
     def counting(fam, g):
-        calls.append(g)
+        calls.extend(np.atleast_2d(g))
         return similarity(fam, g)
 
     monkeypatch.setattr(riesz.Family, "similarity", counting)

@@ -175,6 +175,18 @@ class TestObservables:
         x = models.random_observable(5, rng)
         assert np.linalg.norm(x, "fro") == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("n", [3, 16, 32, 64])
+    def test_block_draws_are_the_sequential_draws(self, n):
+        # a block is one (m, 2, n, n) draw: the stream of m real/imaginary pairs
+        blocks = list(models.observable_blocks(n, 13, np.random.default_rng(3)))
+        assert [len(b) for b in blocks][:-1] == [numerics.block_size(n)] * (len(blocks) - 1)
+        seq = np.random.default_rng(3)
+        for x in np.concatenate(blocks):
+            a = seq.standard_normal((n, n)) + 1j * seq.standard_normal((n, n))
+            np.testing.assert_array_equal(x, a / np.linalg.norm(a, "fro"))
+        rng = np.random.default_rng(3)
+        np.testing.assert_array_equal(models.random_observable(n, rng), blocks[0][0])
+
 
 class TestSweeps:
     def test_requires_ascending_dimensions(self):

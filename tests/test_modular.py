@@ -114,15 +114,18 @@ class TestOmegaVectors:
         # Omega^-1, Omega^-2, eleven flow unitaries and the seven two-point
         # powers not already formed; the observables are shared by every sub-check
         datas, draws = [], []
-        make, draw = modular.modular_data, models.random_observable
+        make, blocks = modular.modular_data, models.observable_blocks
         monkeypatch.setattr(modular, "modular_data", lambda s: datas.append(make(s)) or datas[-1])
         monkeypatch.setattr(
-            models, "random_observable", lambda n, rng: draws.append(n) or draw(n, rng)
+            models,
+            "observable_blocks",
+            lambda n, count, rng: draws.append(count) or blocks(n, count, rng),
         )
         suites.check_modular(instance("shift_half", n=16), 0, ())
         assert len(datas) == 3
         assert sum(len(d.powers) for d in datas) <= 20
-        assert len(draws) == suites.N_OBSERVABLES + 1 == 13
+        # twelve observables in blocks, then random_observable's one
+        assert draws == [suites.N_OBSERVABLES, 1]
 
     def test_commuting_check_takes_one_gram_eigendecomposition(self, monkeypatch):
         # three modular vectors and one T T^H for both commuting-flow times

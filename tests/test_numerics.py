@@ -189,3 +189,43 @@ def test_herm_eig_reconstructs_any_hermitian(re, im):
     eig = numerics.herm_eig(a)
     recon = eig.vectors @ np.diag(eig.values) @ eig.vectors.conj().T
     assert numerics.frobenius(recon - a) <= 1e-12 * max(1.0, numerics.frobenius(a))
+
+
+class TestStacks:
+    """A (m, N, N) stack takes one numpy call and gives each matrix the digits
+    it gets alone, for both mixed real/complex routes too."""
+
+    @pytest.mark.parametrize("n", [2, 5, 16, 33])
+    def test_stacked_routes_match_each_matrix_bit_for_bit(self, rng, n):
+        a = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        b = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        r = rng.standard_normal((n, n))
+        pairs = [
+            (numerics.dagger(a), [numerics.dagger(x) for x in a]),
+            (numerics.matmul(a, b, r), [numerics.matmul(x, y, r) for x, y in zip(a, b)]),
+            (numerics.matmul(r, a), [numerics.matmul(r, x) for x in a]),
+            (numerics.hs_inner(a, b), [numerics.hs_inner(x, y) for x, y in zip(a, b)]),
+            (numerics.hs_inner(a, b[0]), [numerics.hs_inner(x, b[0]) for x in a]),
+            (numerics.frobenius(a), [numerics.frobenius(x) for x in a]),
+            (numerics.frobenius(r + a.real), [numerics.frobenius(r + x) for x in a.real]),
+        ]
+        for stacked, each in pairs:
+            np.testing.assert_array_equal(stacked, np.array(each))
+
+    def test_hs_inner_is_numpy_vdot(self, rng):
+        s = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        t = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        for x, y in ((s, t), (s.conj().T, t), (s, t.T)):
+            assert numerics.hs_inner(x, y) == np.vdot(y, x)
+
+    def test_modulus_is_python_abs(self, rng):
+        z = rng.standard_normal(64) * 10.0 ** rng.integers(-30, 30, 64) + 1j * rng.standard_normal(64)
+        assert numerics.modulus(z).tolist() == [abs(complex(v)) for v in z]
+
+    def test_block_rule(self):
+        # one matrix from N = 64 up, so large instances make a loop's GEMMs
+        assert [numerics.block_size(n) for n in (64, 65, 128, 512, 4096)] == [1] * 5
+        assert all(numerics.block_size(n) >= 12 for n in range(1, 17))
+        for n in (2, 8, 16, 32, 48):
+            m = numerics.block_size(n)
+            assert m * 16 * n * n <= numerics.BLOCK_BYTES < (m + 1) * 16 * n * n

@@ -182,6 +182,14 @@ class TestRealFamilies:
             np.testing.assert_array_equal(s, out)
             np.testing.assert_array_equal(s_conj, out.conj())
 
+    @pytest.mark.parametrize("name", ["shift_half", "exp_gen"], ids=["real", "complex"])
+    def test_phase_block_gives_each_similarity(self, name):
+        inst = preset_system(name)
+        fam = riesz.family(inst.system, "phi")
+        g = np.exp(1j * np.array([0.0, -1.5, 2.5])[:, None] * inst.spectrum.lambdas)
+        for stacked, each in zip(fam.similarity_pair(g), zip(*map(fam.similarity_pair, g))):
+            np.testing.assert_array_equal(stacked, np.array(each))
+
     def test_evolve_rejects_a_complex_time(self, rng):
         # for complex t, U_{-t} is not conj(U_t): evolve refuses the time
         # rather than return U_t X conj(U_t) from the real-family shortcut
