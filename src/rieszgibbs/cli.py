@@ -222,11 +222,19 @@ def cmd_verify(config: RunConfig, timestamp: bool = True) -> int:
         inst.meta["cond_t"],
     )
 
-    results = {
-        name: check(inst, config.seed, config.t_grid)
-        for name, check in suites.CHECKS.items()
-        if name in config.checks
-    }
+    # a group that raises ends the run, but the groups before it are still written
+    results, error = {}, None
+    for name, check in suites.CHECKS.items():
+        if name not in config.checks:
+            continue
+        try:
+            results[name] = check(inst, config.seed, config.t_grid)
+        except (ConfigError, BadModel):
+            raise
+        except RieszGibbsError as exc:
+            error = {"check": name, "message": str(exc)}
+            print(f"error: {exc}", file=sys.stderr)
+            break
     final = list(results.values())
 
     out = Path(config.output_dir)
@@ -258,8 +266,10 @@ def cmd_verify(config: RunConfig, timestamp: bool = True) -> int:
             }
             for r in final
         ],
-        "passed": all(r.passed for r in final),
+        "passed": error is None and all(r.passed for r in final),
     }
+    if error is not None:
+        summary["error"] = error
     (out / "verify_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -287,7 +297,7 @@ def cmd_verify(config: RunConfig, timestamp: bool = True) -> int:
             r.tolerance,
             "pass" if r.passed else "FAIL",
         )
-    return 0 if all(r.passed for r in final) else 2
+    return 0 if summary["passed"] else 2
 
 
 def cmd_sweep(

@@ -16,14 +16,13 @@ of Delta exists only as a small-N test oracle.
 
 Cost model.  ``modular_data`` does the O(N^3) factorization once per state:
 one eigendecomposition of the sandwich density sigma = K K^H / Z gives
-Omega's eigenpairs, and sigma itself is read as Omega^2, the dense side of
-Delta, of the modular KMS condition and of the Delta oracle.  Every other
-power Omega^a is formed from the eigenpairs once per ``ModularData`` and
-exponent, on first use: Omega^{-1} for S, Omega^{-2} for Delta, and one
-flow unitary u = Omega^{2it} per time t, shared by every observable flowed
-at that t.  Each observable then costs a fixed number of N x N products
-(two for sigma_t(X) = u X u^H, two for Delta V), and each point of the
-modular two-point function two half-chain products and one O(N^2) dot.
+Omega's eigenvalues and its eigenbasis U as a ``riesz.Family``, and sigma
+itself is read as Omega^2.  Every other power Omega^a = U diag(omega^a) U^H
+is ``basis.similarity`` of a phase block (``omega_powers``), uncached: one
+(m, N) block gives, say, the flow unitaries Omega^{2it} of a whole time grid.
+Each observable then costs a fixed number of N x N products (two for
+sigma_t(X) = u X u^H, two for Delta V), and each point of the modular
+two-point function two half-chain products and one O(N^2) dot.
 """
 
 from __future__ import annotations
@@ -32,12 +31,14 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import NDArray
 
 from . import numerics
 from .dynamics import NonHermitianHamiltonian, evolve
 from .errors import Singular
 from .gibbs import GibbsState
-from .numerics import CMatrix, HermitianEig
+from .numerics import CMatrix
+from .riesz import Family
 
 #: largest dimension for which the dense Delta oracle may be materialized
 ORACLE_DIM_MAX = 6
@@ -47,28 +48,34 @@ def modular_tolerance(cond_omega: float) -> float:
     return 1e-10 * max(cond_omega, 1.0) ** 2
 
 
+def modular_kms_tolerance(n: int) -> float:
+    """c u N with c = 100: ten operations per grid point (per side a power or
+    flow unitary and two products, then one trace dot), times 10 to keep the
+    largest residual seen, 2 u N at N = 2, over a decade below.  At z = t - i
+    every factor has 2-norm <= 1 (omega_j <= ||Omega||_F = 1): no cond(Omega)."""
+    return 100 * (np.finfo(float).eps / 2) * n
+
+
 @dataclass(frozen=True)
 class ModularData:
-    """A state's positive nonsingular HS vector Omega with its eigendecomposition.
+    """A state's positive nonsingular HS vector Omega with its eigenbasis.
 
     Attributes
     ----------
     omega : Omega = U diag(omega_j) U^H
-    eig : the eigenpairs, ascending omega_j > 0
+    values : the eigenvalues, ascending omega_j > 0
+    basis : U as a family (vectors U, duals U^H), so that
+        ``basis.similarity(g)`` = U diag(g) U^H, of each row of an (m, N) g
     cond_omega : omega_max / omega_min
     omega_sq : Omega^2, read as the state's sandwich density sigma = K K^H / Z
         rather than rebuilt from the eigenpairs
-    powers : Omega^a by exponent a, each formed from the eigenpairs by
-        ``omega_power`` on first use
     """
 
     omega: CMatrix
-    eig: HermitianEig = field(repr=False)
+    values: NDArray[np.float64]
+    basis: Family = field(repr=False)
     cond_omega: float
     omega_sq: CMatrix = field(repr=False)
-    powers: dict[complex, CMatrix] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @property
     def dim(self) -> int:
@@ -82,7 +89,7 @@ def modular_data(state: GibbsState) -> ModularData:
     the frame state, and C = T or (T^{-1})^H for the phi and psi states.  Its
     square is the state's sandwich density sigma = K K^H / Z, so one
     eigendecomposition sigma = U diag(mu) U^H gives Omega = U diag(sqrt(mu)) U^H
-    and its eigenpairs together, and sigma itself is kept as Omega^2.  The
+    and its eigenbasis together, and sigma itself is kept as Omega^2.  The
     1/sqrt(Z) factor is exactly what gives the vector unit HS norm.  Raises
     Singular unless every mu is positive.
     """
@@ -92,24 +99,31 @@ def modular_data(state: GibbsState) -> ModularData:
             f"modular vector must be positive definite: smallest eigenvalue of "
             f"Omega^2 is {sigma.values[0]:.3e}"
         )
-    eig = HermitianEig(values=np.sqrt(sigma.values), vectors=sigma.vectors)
-    omega = (eig.vectors * eig.values) @ numerics.dagger(eig.vectors)
+    values = np.sqrt(sigma.values)
+    basis = _unitary_family(sigma.vectors)
     return ModularData(
-        omega=omega,
-        eig=eig,
-        cond_omega=float(eig.values[-1] / eig.values[0]),
+        omega=basis.similarity(values),
+        values=values,
+        basis=basis,
+        cond_omega=float(values[-1] / values[0]),
         omega_sq=state.sandwich_density,
     )
 
 
-def omega_power(md: ModularData, exponent: complex) -> CMatrix:
-    """Omega^a for complex a through the eigenpairs, formed once per exponent."""
-    power = md.powers.get(exponent)
-    if power is None:
-        w = np.exp(exponent * np.log(md.eig.values.astype(complex)))
-        power = (md.eig.vectors * w) @ numerics.dagger(md.eig.vectors)
-        md.powers[exponent] = power
-    return power
+def _unitary_family(u: CMatrix) -> Family:
+    """A unitary eigenbasis U as the family of C = U over the standard basis."""
+    return Family(u, u, numerics.dagger(u))
+
+
+def _powers(basis: Family, values: np.ndarray, exponents: complex | np.ndarray) -> CMatrix:
+    """U diag(values^a) U^H for each exponent a: one (m, N) phase block through
+    ``basis.similarity``, an (m, N, N) stack (one matrix for a scalar a)."""
+    return basis.similarity(np.exp(np.multiply.outer(exponents, np.log(values))))
+
+
+def omega_powers(md: ModularData, exponents: complex | np.ndarray) -> CMatrix:
+    """Omega^a for each exponent a, as one phase block in Omega's eigenbasis."""
+    return _powers(md.basis, md.values, exponents)
 
 
 def state_via_vector(v: CMatrix, omega: CMatrix) -> complex:
@@ -123,40 +137,31 @@ def tomita_s(md: ModularData, v: CMatrix) -> CMatrix:
     On vectors of the form V = X Omega this is X^H Omega, the defining
     involution.
     """
-    return numerics.dagger(md.omega @ v @ omega_power(md, -1.0))
+    return numerics.dagger(md.omega @ v @ omega_powers(md, -1.0))
 
 
 def delta_apply(md: ModularData, v: CMatrix) -> CMatrix:
     """Delta V = Omega^2 V Omega^{-2}, positive on the HS space; Omega^2 is
-    the dense sandwich density, Omega^{-2} comes from the eigenpairs."""
-    return md.omega_sq @ v @ omega_power(md, -2.0)
+    the dense sandwich density, Omega^{-2} comes from the eigenbasis."""
+    return md.omega_sq @ v @ omega_powers(md, -2.0)
 
 
 def delta_form(md: ModularData, v: CMatrix) -> float:
     """(Delta V | V) in Omega's eigenbasis: sum_jk (omega_j/omega_k)^2 |V~_jk|^2
     with V~ = U^H V U, positive for V != 0; an array of them over a stack."""
-    vt = numerics.dagger(md.eig.vectors) @ v @ md.eig.vectors
-    ratios = (md.eig.values[:, None] / md.eig.values[None, :]) ** 2
+    vt = md.basis.duals_h @ v @ md.basis.vectors
+    ratios = (md.values[:, None] / md.values[None, :]) ** 2
     return np.sum(ratios * np.abs(vt) ** 2, axis=(-2, -1))
 
 
-def modular_flow(md: ModularData, t: float, x: CMatrix) -> CMatrix:
-    """sigma_t(X) = Omega^{2it} X Omega^{-2it}, a *-automorphism for each t."""
-    u = omega_power(md, 2j * t)
-    return u @ x @ numerics.dagger(u)
+def modular_flow(md: ModularData, t: float | np.ndarray, x: CMatrix) -> CMatrix:
+    """sigma_t(X) = Omega^{2it} X Omega^{-2it}, a *-automorphism for each t.
 
-
-def _two_point(md: ModularData, x: CMatrix, y: CMatrix, z: complex) -> complex:
-    """g(z) = (X sigma_z(Y) Omega | Omega), merged so factors stay bounded.
-
-    By cyclicity g(z) = tr(Omega X Omega^{2iz} Y Omega^{-2iz} Omega)
-    = tr((X Omega^{2iz}) (Y Omega^{2-2iz})): two half-chains and one O(N^2)
-    dot.  For Im z in [-1, 0] both exponents have real part in [0, 2], so
-    no inverse power of Omega is formed.
+    For an array of m times the flow unitaries are one (m, N) phase block and
+    the result is the (m, N, N) stack of sigma_t(X).
     """
-    left = x @ omega_power(md, 2j * z)
-    right = y @ omega_power(md, 2.0 - 2j * z)
-    return complex(np.einsum("ij,ji->", left, right))
+    u = omega_powers(md, 2j * np.asarray(t))
+    return u @ x @ numerics.dagger(u)
 
 
 #: Imaginary shift at which the modular two-point function closes.  With
@@ -174,16 +179,19 @@ def verify_modular_kms(
     """max_t |g(t + MODULAR_KMS_SHIFT) - omega(sigma_t(Y) X)| along the modular flow.
 
     The vector state satisfies the thermal boundary condition at unit inverse
-    temperature with respect to its own modular flow.  The left side takes
-    its powers of Omega from the eigenpairs; the right side reads the state
-    as omega(A) = tr(sigma A) with the dense sandwich density sigma = Omega^2.
+    temperature with respect to its own modular flow.  The two-point function
+    g(z) = (X sigma_z(Y) Omega | Omega) is merged by cyclicity into
+    tr((X Omega^{2iz}) (Y Omega^{2-2iz})): for Im z in [-1, 0] both exponents
+    have real part in [0, 2], so no inverse power of Omega is formed.  The
+    grid's half-chain powers are one phase block and its flow unitaries
+    another; omega(A) = tr(sigma A) reads the dense sigma = Omega^2.
     """
-    res = 0.0
-    for t in t_grid:
-        t = float(t)
-        rhs = numerics.hs_inner(modular_flow(md, t, y) @ x, md.omega_sq)
-        res = max(res, abs(_two_point(md, x, y, t + MODULAR_KMS_SHIFT) - rhs))
-    return res
+    t = np.asarray(t_grid, dtype=float)
+    z = t + MODULAR_KMS_SHIFT
+    left, right = np.split(omega_powers(md, np.concatenate([2j * z, 2.0 - 2j * z])), 2)
+    g = np.einsum("mij,mji->m", x @ left, y @ right)
+    rhs = numerics.hs_inner(modular_flow(md, t, y) @ x, md.omega_sq)
+    return float(np.max(np.abs(g - rhs)))
 
 
 def delta_matrix(md: ModularData) -> CMatrix:
@@ -194,14 +202,12 @@ def delta_matrix(md: ModularData) -> CMatrix:
     """
     if md.dim > ORACLE_DIM_MAX:
         raise ValueError(f"dense Delta oracle restricted to N <= {ORACLE_DIM_MAX}")
-    return np.kron(md.omega_sq, omega_power(md, -2.0).T)
+    return np.kron(md.omega_sq, omega_powers(md, -2.0).T)
 
 
 def delta_spectrum_expected(md: ModularData) -> np.ndarray:
     """Sorted {(omega_j/omega_k)^2} over all eigenvalue pairs of Omega."""
-    vals = md.eig.values
-    ratios = (vals[:, None] / vals[None, :]) ** 2
-    return np.sort(ratios.ravel())
+    return np.sort(((md.values[:, None] / md.values[None, :]) ** 2).ravel())
 
 
 def commuting_flow_residual(
@@ -216,19 +222,15 @@ def commuting_flow_residual(
         alpha^phi_t(X) = |T^H|^{2it/beta} sigma_{-t/beta}(X) |T^H|^{-2it/beta},
 
     with sigma the (2it)-normalized flow of Omega_phi.  Returns the largest
-    Frobenius deviation of the two sides over ``t_grid``, from one
-    eigendecomposition of T T^H; meaningful only for commuting [T, H0].
+    Frobenius deviation of the two sides over ``t_grid``.  The twists
+    |T^H|^{2it/beta} = (T T^H)^{it/beta} of the whole grid are one phase block
+    in the eigenbasis of T T^H, from one eigendecomposition; meaningful only
+    for commuting [T, H0].
     """
-    beta = ham.spectrum.beta
-    t_op = ham.system.t_op
-    # |T^H|^{2it/beta} = (T T^H)^{it/beta}
+    beta, t_op = ham.spectrum.beta, ham.system.t_op
     gram = numerics.herm_eig(t_op @ numerics.dagger(t_op))
-    log_gram = np.log(gram.values.astype(complex))
-    res = 0.0
-    for t in t_grid:
-        phases = np.exp((1j * t / beta) * log_gram)
-        twist = numerics.matmul(gram.vectors * phases, numerics.dagger(gram.vectors))
-        rhs = twist @ modular_flow(md, -t / beta, x) @ numerics.dagger(twist)
-        lhs = evolve(ham, "phi", t, x)
-        res = max(res, numerics.frobenius(lhs - rhs))
-    return res
+    t = np.asarray(t_grid, dtype=float)
+    twist = _powers(_unitary_family(gram.vectors), gram.values, 1j * t / beta)
+    rhs = twist @ modular_flow(md, -t / beta, x) @ numerics.dagger(twist)
+    lhs = np.stack([evolve(ham, "phi", s, x) for s in t])
+    return float(np.max(numerics.frobenius(lhs - rhs)))

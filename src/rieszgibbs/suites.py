@@ -321,11 +321,13 @@ def check_modular(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> Gr
     the square root of the sandwich density sigma: unit HS norm of every state's
     Omega, J Delta^{1/2}(X Omega) = X* Omega, omega_phi(X) = (X Omega | Omega),
     (Delta X | X) two-sided, with Omega^2 read as sigma, against
-    sum_jk (w_j/w_k)^2 |X~_jk|^2 in Omega's eigenbasis, and the flow
-    sigma_t(X) = Omega^{2it} X Omega^{-2it}: group law, vector flow, modular
-    KMS condition (powers of Omega against omega = tr(sigma .)) and spectrum of
-    Delta {(w_j/w_k)^2}.  The observables are drawn once, in blocks, and read
-    by every sub-check; each power of Omega and each flow unitary is formed once."""
+    sum_jk (w_j/w_k)^2 |X~_jk|^2 in Omega's eigenbasis, the modular KMS
+    condition along sigma_t(X) = Omega^{2it} X Omega^{-2it} (powers of Omega
+    against omega = tr(sigma .), at a tolerance without cond(Omega)) and the
+    spectrum of Delta {(w_j/w_k)^2}.  Every power of Omega and every flow
+    unitary is U diag(w^a) U* in Omega's one eigenbasis, one block of phase
+    rows per sub-check; the observables are drawn once, in blocks, and read by
+    every sub-check."""
     system, spectrum = inst.system, inst.spectrum
     rng = _group_rng(seed, "modular")
     n = system.dim
@@ -333,16 +335,12 @@ def check_modular(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> Gr
     datas = {k: md.modular_data(s) for k, s in states.items()}
     data = datas["phi"]
     omega = data.omega
-    tol = md.modular_tolerance(data.cond_omega)
     blocks = list(models.observable_blocks(n, N_OBSERVABLES, rng))
 
     r_norm = max(abs(numerics.frobenius(d.omega) - 1.0) for d in datas.values())
-    r_tomita = r_state = r_pos = r_vecflow = 0.0
-    t_probe = 0.8
+    r_tomita = r_state = r_pos = 0.0
     for x in blocks:
-        # X Omega and sigma_t(X) are formed once per block and read by every sub-check below
         x_omega = x @ omega
-        flowed = md.modular_flow(data, t_probe, x)
         tomita_gap = md.tomita_s(data, x_omega) - numerics.dagger(x) @ omega
         r_tomita = max(r_tomita, numerics.frobenius(tomita_gap).max())
         state_gap = md.state_via_vector(x_omega, omega) - gb.omega_trace(states["phi"], x)
@@ -350,26 +348,15 @@ def check_modular(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> Gr
         form = md.delta_form(data, x)
         two_sided = numerics.hs_inner(md.delta_apply(data, x), x)
         r_pos = max(r_pos, (numerics.modulus(two_sided - form) / form).max())
-        flow_gap = md.modular_flow(data, t_probe, x_omega) - flowed @ omega
-        r_vecflow = max(r_vecflow, numerics.frobenius(flow_gap).max())
     x, y = models.random_observable(n, rng), blocks[0][0]
-    r_flowgroup = max(
-        numerics.frobenius(
-            md.modular_flow(data, s + t, x)
-            - md.modular_flow(data, s, md.modular_flow(data, t, x))
-        )
-        for s, t in ((0.4, 1.1), (-2.0, 3.3))
-    )
     r_mkms = md.verify_modular_kms(data, x, y, (0.0, 0.5, 1.7, -2.3))
 
     subs = [
         SubCheck("hs_norms", r_norm, 1e-12),
-        SubCheck("tomita_involution", r_tomita, tol),
+        SubCheck("tomita_involution", r_tomita, md.modular_tolerance(data.cond_omega)),
         SubCheck("state_representation", r_state, max(1e-11, gb.state_tolerance(system.cond_t, n))),
         SubCheck("delta_positivity", r_pos, 1e-12),
-        SubCheck("flow_group_law", r_flowgroup, tol),
-        SubCheck("vector_flow", r_vecflow, tol),
-        SubCheck("modular_kms", r_mkms, tol),
+        SubCheck("modular_kms", r_mkms, md.modular_kms_tolerance(n)),
     ]
     if n <= md.ORACLE_DIM_MAX:
         oracle = np.sort(np.linalg.eigvalsh(md.delta_matrix(data)))

@@ -284,6 +284,27 @@ class TestVerifyCommand:
         keys = [(group, id(system), kind) for group, system, kind in builds]
         assert len(keys) == len(set(keys))
 
+    def test_raising_group_keeps_the_finished_rows(self, tmp_path, capsys):
+        # modular raises Singular at shift_half N=64 (Omega^2 has a negative
+        # eigenvalue in roundoff); the gibbs row before it is still written
+        out = tmp_path / "out"
+        config = write_config(
+            tmp_path,
+            {
+                "model": {"preset": "shift_half", "N": 64},
+                "checks": ["gibbs", "modular"],
+                "output_dir": str(out),
+            },
+        )
+        assert cli.main(["verify", "--config", config, "--no-timestamp"]) == 2
+        message = capsys.readouterr().err.removeprefix("error: ").strip()
+        assert message.startswith("modular vector must be positive definite")
+        assert [row["check"] for row in read_report(out)] == ["gibbs"]
+        summary = json.loads((out / "verify_summary.json").read_text())
+        assert summary["passed"] is False
+        assert [r["check"] for r in summary["results"]] == ["gibbs"]
+        assert summary["error"] == {"check": "modular", "message": message}
+
     def test_check_subset(self, tmp_path):
         config = jordan2_config(tmp_path, checks=["biorthogonality", "entropy"])
         assert cli.main(["verify", "--config", config, "--no-timestamp"]) == 0

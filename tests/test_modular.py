@@ -99,7 +99,7 @@ class TestOmegaVectors:
         z_phi = np.sum(d**2 * np.exp(-beta * lam))
         expected = np.sort(d * np.exp(-0.5 * beta * lam) / np.sqrt(z_phi))
         md = data_of(inst.system, inst.spectrum)
-        np.testing.assert_allclose(md.eig.values, expected, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(md.values, expected, rtol=1e-13, atol=0)
         assert md.cond_omega == pytest.approx(expected[-1] / expected[0], rel=1e-13)
 
     def test_check_modular_takes_one_eigendecomposition_per_state(self, monkeypatch):
@@ -111,19 +111,28 @@ class TestOmegaVectors:
         assert len(calls) == 3
 
     def test_check_modular_forms_each_power_once_and_draws_observables_once(self, monkeypatch):
-        # Omega^-1, Omega^-2, eleven flow unitaries and the seven two-point
-        # powers not already formed; the observables are shared by every sub-check
-        datas, draws = [], []
+        # every power of Omega is one row of a phase block through its eigenbasis:
+        # the three Omegas, Omega^-1 for S and Omega^-2 for Delta (one block of
+        # observables at N=16), and for the modular KMS grid four flow unitaries
+        # and eight half-chain powers; the observables are shared by every sub-check
+        datas, draws, rows = [], [], []
         make, blocks = modular.modular_data, models.observable_blocks
+        similarity = riesz.Family.similarity
         monkeypatch.setattr(modular, "modular_data", lambda s: datas.append(make(s)) or datas[-1])
         monkeypatch.setattr(
             models,
             "observable_blocks",
             lambda n, count, rng: draws.append(count) or blocks(n, count, rng),
         )
+        monkeypatch.setattr(
+            riesz.Family,
+            "similarity",
+            lambda fam, g: rows.append((fam, len(np.atleast_2d(g)))) or similarity(fam, g),
+        )
         suites.check_modular(instance("shift_half", n=16), 0, ())
         assert len(datas) == 3
-        assert sum(len(d.powers) for d in datas) <= 20
+        bases = [d.basis for d in datas]
+        assert sum(m for fam, m in rows if any(fam is b for b in bases)) == 17
         # twelve observables in blocks, then random_observable's one
         assert draws == [suites.N_OBSERVABLES, 1]
 
@@ -195,7 +204,8 @@ class TestTomitaInvolution:
         # S = J Delta^{1/2}: apply the factors separately
         _, _, md = two_level_data()
         v = random_observable(2, rng)
-        half = modular.omega_power(md, 1.0) @ v @ modular.omega_power(md, -1.0)
+        omega, omega_inv = modular.omega_powers(md, np.array([1.0, -1.0]))
+        half = omega @ v @ omega_inv
         assert numerics.frobenius(modular.tomita_s(md, v) - half.conj().T) <= 1e-13
 
 
@@ -222,6 +232,16 @@ class TestModularFlow:
         star = modular.modular_flow(md, t, x.conj().T)
         assert numerics.frobenius(modular.modular_flow(md, t, x).conj().T - star) <= tol
 
+    def test_time_block_matches_single_times(self, rng):
+        inst = instance("exp_gen", n=8)
+        md = data_of(inst.system, inst.spectrum)
+        x = random_observable(8, rng)
+        ts = np.array([0.0, 0.7, -1.3])
+        flowed = modular.modular_flow(md, ts, x)
+        assert flowed.shape == (3, 8, 8)
+        for t, got in zip(ts, flowed):
+            assert numerics.frobenius(got - modular.modular_flow(md, t, x)) <= 1e-14
+
     def test_vector_flow_commutes_with_omega(self, rng):
         _, _, md = two_level_data()
         x = random_observable(2, rng)
@@ -247,42 +267,6 @@ class TestDeltaOperator:
             two_sided = numerics.hs_inner(modular.delta_apply(md, v), v)
             form = modular.delta_form(md, v)
             assert abs(two_sided - form) <= 1e-12 * form
-
-    def test_planted_square_root_fails_positivity_check(self, monkeypatch):
-        # Delta^{1/2} V = Omega V Omega^{-1} in place of Delta V
-        inst = instance("shift_half", n=8)
-
-        def positivity():
-            result = suites.check_modular(inst, 0, ())
-            return next(s for s in result.subchecks if s.name == "delta_positivity")
-
-        assert positivity().passed
-        monkeypatch.setattr(
-            modular, "delta_apply", lambda md, v: md.omega @ v @ modular.omega_power(md, -1.0)
-        )
-        assert not positivity().passed
-
-    @pytest.mark.parametrize(
-        "exponent, name", [(-1.0, "tomita_involution"), (-2.0, "delta_positivity")]
-    )
-    def test_planted_cached_power_fails_its_subcheck(self, monkeypatch, exponent, name):
-        # the cached Omega^-1 (Omega^-2) is the one S (Delta) reads
-        inst = instance("shift_half", n=8)
-
-        def subcheck():
-            result = suites.check_modular(inst, 0, ())
-            return next(s for s in result.subchecks if s.name == name)
-
-        assert subcheck().passed
-        make = modular.modular_data
-
-        def planted(state):
-            data = make(state)
-            data.powers[exponent] = 1.001 * modular.omega_power(data, exponent)
-            return data
-
-        monkeypatch.setattr(modular, "modular_data", planted)
-        assert not subcheck().passed
 
     def test_spectrum_against_dense_oracle(self):
         for name, n in (("jordan2", None), ("oscillator", 4), ("shift_half", 6)):
@@ -311,7 +295,7 @@ class TestDeltaOperator:
         inst = instance("shift_half", n=4)
         md = data_of(inst.system, inst.spectrum)
         right_mult = np.kron(np.eye(4), md.omega.T)
-        assert md.eig.values[0] > 0
+        assert md.values[0] > 0
         assert np.linalg.matrix_rank(right_mult) == 16
 
 
@@ -345,7 +329,7 @@ class TestModularKms:
     def test_opposite_shift_fails(self, rng, monkeypatch):
         inst = instance("shift_half", n=16)
         md = data_of(inst.system, inst.spectrum)
-        tol = modular.modular_tolerance(md.cond_omega)
+        tol = modular.modular_kms_tolerance(16)
         x, y = random_observable(16, rng), random_observable(16, rng)
         t_grid = [0.0, 0.5, 1.7, -2.3]
         assert modular.MODULAR_KMS_SHIFT == -1j
