@@ -186,28 +186,22 @@ def load_config_file(path: str | os.PathLike) -> RunConfig:
     return load_config(data)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
+def _flag(value) -> str:
+    return "true" if value else "false"
 
 
 def _write_csv(
     path: Path, columns: Sequence[str], rows: Sequence[Sequence], timestamp: bool
 ) -> None:
+    """Rows of str, None, ints and floats (numpy's too), which csv writes as
+    ``str`` does: a float as its repr, None as an empty field.  A flag comes
+    as its ``_flag`` string."""
     buf = io.StringIO()
     if timestamp:
         buf.write(f"# generated {datetime.datetime.now(datetime.timezone.utc).isoformat()}\r\n")
     writer = csv.writer(buf)
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    writer.writerows(rows)
     path.write_text(buf.getvalue(), encoding="utf-8", newline="")
 
 
@@ -242,7 +236,7 @@ def cmd_verify(config: RunConfig, timestamp: bool = True) -> int:
     _write_csv(
         out / "verify_report.csv",
         ("check", "max_residual", "tolerance", "pass"),
-        [(r.check, r.max_residual, r.tolerance, r.passed) for r in final],
+        [(r.check, r.max_residual, r.tolerance, _flag(r.passed)) for r in final],
         timestamp,
     )
     summary = {
@@ -287,6 +281,7 @@ def cmd_verify(config: RunConfig, timestamp: bool = True) -> int:
             gammas=(0.5, config.model.beta, 2.0 * config.model.beta),
             n_values=n_values,
         )
+        rows = [(*row[:-1], _flag(row.converged)) for row in rows]
         _write_csv(out / "summability.csv", entropy_mod.SUMMABILITY_COLUMNS, rows, timestamp)
 
     for r in final:

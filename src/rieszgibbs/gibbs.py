@@ -13,23 +13,25 @@ Each admits an equivalent trace form, e.g. for the phi kind
 ``omega(X) = (1/Zphi) tr(T^H X T e^{-beta H0})``, and the agreement of the two
 evaluation routes is one of the identities this package certifies.
 
-Cost model.  The trace and sandwich routes are densities formed once per
-state and route, on first use, in O(N^3), and stored as their adjoints:
+Cost model.  The trace and sandwich orderings are densities formed once per
+state, on first use, in O(N^3), and stored as their adjoints:
 
     trace    rho^H = C ((F diag(w)) (C F)^H) / Z,
     sandwich sigma = K K^H / Z,   K = (C F) diag(w^{1/2}) = C e^{-beta H0/2} F,
 
 (sigma is its own adjoint by its formula), both complex128 even for a real
-family, so that no dot casts them again.  Each observable then costs one
-contiguous O(N^2) dot, tr(rho X) = (X | rho^H) = ``numerics.hs_inner(X, rho^H)``.
-Each route also takes a (m, N, N) stack of observables, one numpy call per stack.
-K omits the trailing unitary F^H of C e^{-beta H0/2} = (C F) diag(w^{1/2}) F^H,
-which K K^H does not see.  sigma is also Omega^2 for the state's modular
-vector, whose eigenpairs ``modular.modular_data`` reads off sigma's.
-The defining sum ``omega_sum`` stays a per-observable O(N^3) evaluation: it
-is the oracle the density routes are checked against.  Folding it into a
-density (C F) diag(w) (C F)^H as well would, for F = I, repeat the trace
-density product bit for bit and leave nothing to compare.
+family, so that no dot casts them again.  K omits the trailing unitary F^H
+of C e^{-beta H0/2} = (C F) diag(w^{1/2}) F^H, which K K^H does not see.
+sigma is also Omega^2 for the state's modular vector, whose eigenpairs
+``modular.modular_data`` reads off sigma's.  ``omega_trace`` evaluates an
+observable in one contiguous O(N^2) dot, tr(rho X) = (X | rho^H), and a
+(m, N, N) stack of them in one numpy call.  Every functional here is linear
+in X, so two of them agree for every X exactly when their densities agree:
+``suites.check_gibbs`` compares densities, never values, and
+||rho_1 - rho_2||_F is the largest gap over observables of unit Frobenius
+norm.  The defining sum ``omega_sum`` stays an O(N^3) evaluation per
+observable, for the sweep's two; as a density, (C F) diag(w) (C F)^H / Z,
+it is the trace density regrouped.
 """
 
 from __future__ import annotations
@@ -115,9 +117,10 @@ class GibbsState:
     """One of the three normalized functionals with its thermal data.
 
     ``gibbs_state`` is the only place that forms this data; strip functions,
-    Omega vectors and the ratio/density residuals read it from here.  The
-    route densities, e^{-beta H} and the twist are formed on first use and
-    cached, so a state that never evaluates a route never pays for it.
+    Omega vectors and the density comparisons of ``suites.check_gibbs`` read
+    it from here.  The route densities, e^{-beta H} and the twist are formed
+    on first use and cached, so a state that never evaluates a route never
+    pays for it.
     """
 
     partition: float
@@ -194,24 +197,6 @@ def omega_trace(state: GibbsState, x: CMatrix) -> complex:
     """Trace form of the same functional, e.g. (1/Zphi) tr(T^H X T e^{-beta H0}),
     as tr(rho X) = (X | rho^H) against the cached rho^H: O(N^2) per X."""
     return numerics.hs_inner(_observable(state, x), state.trace_density_h)
-
-
-def omega_trace_sandwich(state: GibbsState, x: CMatrix) -> complex:
-    """Sandwich ordering (1/Z) tr((C e^{-beta H0/2})^H X (C e^{-beta H0/2})),
-    as tr(sigma X) = (X | sigma) against the cached sigma = sigma^H: O(N^2) per X."""
-    return numerics.hs_inner(_observable(state, x), state.sandwich_density)
-
-
-def omega_ratio_residual(state_phi: GibbsState, state_f: GibbsState, x: CMatrix) -> float:
-    """|omega_phi(X) - (Z0/Zphi) omega_f(T^H X T)|, zero in exact arithmetic.
-
-    Both sides take the trace route; the pull-back T^H X T is formed densely.
-    """
-    c_op = state_phi.family.c_op
-    pulled = numerics.matmul(numerics.dagger(c_op), x, c_op)
-    lhs = omega_trace(state_phi, x)
-    rhs = (state_f.partition / state_phi.partition) * omega_trace(state_f, pulled)
-    return numerics.modulus(lhs - rhs)
 
 
 class FaithfulnessWitness(NamedTuple):

@@ -104,7 +104,8 @@ def _taylor_expm(g: CMatrix) -> CMatrix:
     for k in range(1, 30):
         term = term @ scaled / k
         result = result + term
-        if np.linalg.norm(term, 2) < 1e-20:
+        # the Frobenius norm bounds the 2-norm from above, without an SVD
+        if numerics.frobenius(term) < 1e-20:
             break
     for _ in range(squarings):
         result = result @ result

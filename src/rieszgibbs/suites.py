@@ -104,39 +104,32 @@ def check_biorthogonality(inst: ModelInstance, seed: int, t_grid: Sequence[float
 
 def check_gibbs(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> GroupResult:
     """dual representation of the deformed thermal functional:
-    (1/Z_phi) sum_n e^{-beta lambda_n} (X phi_n | phi_n)
-    = (1/Z_phi) tr(T* X T e^{-beta H0})
+    (1/Z_phi) tr(T* X T e^{-beta H0})
     = (1/Z_phi) tr((T e^{-beta H0/2})* X (T e^{-beta H0/2}));
-    plus omega_phi(X) = (Z0/Z_phi) omega_f(T* X T), unitality,
-    positivity, and faithfulness of the density T e^{-beta H0} T*/Z_phi."""
+    plus omega_phi(X) = (Z0/Z_phi) omega_f(T* X T), omega(X*) = conj(omega(X)),
+    omega_phi = the psi state of the dual system, unitality, and faithfulness
+    of the density T e^{-beta H0} T*/Z_phi.  Each identity is linear in X, so
+    it is one comparison of the two routes' densities: the residual
+    ||rho_1 - rho_2||_F is the largest |omega_1(X) - omega_2(X)| over every
+    X with ||X||_F <= 1, and no observable is drawn."""
     system, spectrum = inst.system, inst.spectrum
-    rng = _group_rng(seed, "gibbs")
     n = system.dim
     tol = gb.state_tolerance(system.cond_t, n)
     states = {k: gb.gibbs_state(system, spectrum, k) for k in ("f", "phi", "psi")}
     # psi state of the dual system: its columns come from a fresh inversion of (T^-1)^H
     dual_psi = gb.gibbs_state(riesz.dual_system(system), spectrum, "psi")
-    eye = np.eye(n, dtype=complex)
+    # every density is compared as its adjoint: rho^H, and sigma = sigma^H
+    rho_h = {k: s.trace_density_h for k, s in states.items()}
+    # omega_f(T* X T) = tr(T rho_f T* X)
+    t_op = states["phi"].family.c_op
+    pulled = numerics.matmul(t_op, rho_h["f"], numerics.dagger(t_op))
+    z_ratio = states["f"].partition / states["phi"].partition
 
-    # the defining sum is evaluated once per state and observable, as the oracle
-    # for sum_vs_trace; every other sub-check reads the O(N^2) density routes
-    r_sum_trace = r_orderings = r_ratio = r_herm = r_pos = r_dual = 0.0
-    for x in models.observable_blocks(n, N_OBSERVABLES, rng):
-        # C-contiguous once here, rather than copied by each omega_trace dot
-        x_h = np.ascontiguousarray(numerics.dagger(x))
-        x_hx = x_h @ x
-        for state in states.values():
-            t = gb.omega_trace(state, x)
-            r_sum_trace = max(r_sum_trace, numerics.modulus(gb.omega_sum(state, x) - t).max())
-            sandwich = gb.omega_trace_sandwich(state, x)
-            r_orderings = max(r_orderings, numerics.modulus(t - sandwich).max())
-            r_herm = max(r_herm, numerics.modulus(gb.omega_trace(state, x_h) - np.conj(t)).max())
-            val = gb.omega_trace(state, x_hx)
-            r_pos = max(r_pos, -val.real.min(), np.abs(val.imag).max())
-        r_ratio = max(r_ratio, gb.omega_ratio_residual(states["phi"], states["f"], x).max())
-        dual_gap = gb.omega_trace(states["phi"], x) - gb.omega_trace(dual_psi, x)
-        r_dual = max(r_dual, numerics.modulus(dual_gap).max())
-    r_unital = max(abs(gb.omega_trace(s, eye) - 1.0) for s in states.values())
+    r_orderings = max(numerics.frobenius(rho_h[k] - s.sandwich_density) for k, s in states.items())
+    r_ratio = numerics.frobenius(z_ratio * pulled - rho_h["phi"])
+    r_herm = max(numerics.frobenius(r - numerics.dagger(r)) for r in rho_h.values())
+    r_dual = numerics.frobenius(rho_h["phi"] - dual_psi.trace_density_h)
+    r_unital = max(abs(numerics.trace(r) - 1.0) for r in rho_h.values())
 
     witness = gb.faithfulness_witness(states["phi"])
     sigma_min = system.sigma_min_t
@@ -144,17 +137,13 @@ def check_gibbs(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> Grou
     # a bound below the normal range cannot be certified: a full shortfall
     normal = lower >= np.finfo(float).tiny
     faith_short = max(0.0, 0.9 * lower - witness.min_eigenvalue) / lower if normal else 1.0
-    trace_dev = abs(numerics.trace(witness.density) - 1.0)
 
     subs = [
-        SubCheck("sum_vs_trace", r_sum_trace, tol),
         SubCheck("trace_orderings", r_orderings, tol),
         SubCheck("ratio_identity", r_ratio, tol),
         SubCheck("unitality", r_unital, 1e-13),
         SubCheck("hermiticity", r_herm, tol),
-        SubCheck("positivity", r_pos, tol),
         SubCheck("faithfulness_margin", faith_short, 1e-12),
-        SubCheck("density_trace", trace_dev, 1e-13),
         SubCheck("psi_duality", r_dual, tol),
     ]
     return _finish("gibbs", subs)

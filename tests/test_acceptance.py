@@ -62,7 +62,11 @@ def test_criterion_02_dual_representation(rng):
             for state in states:
                 dev = abs(gibbs.omega_sum(state, x) - gibbs.omega_trace(state, x))
                 worst = max(worst, dev / tol)
-            ratio = gibbs.omega_ratio_residual(states[1], states[0], x)
+            # omega_phi(X) = (Z0/Zphi) omega_f(T^H X T)
+            t_op = inst.system.t_op
+            pulled = gibbs.omega_trace(states[0], t_op.conj().T @ x @ t_op)
+            z_ratio = states[0].partition / states[1].partition
+            ratio = abs(gibbs.omega_trace(states[1], x) - z_ratio * pulled)
             worst = max(worst, ratio / tol)
     report(2, "dual representation", worst <= 1.0, f"worst residual/tolerance = {worst:.3e}")
 

@@ -1,9 +1,9 @@
-"""Planted defects for the kms and modular sub-checks, and the names every group emits.
+"""Planted defects for the gibbs, kms and modular sub-checks, and the names every group emits.
 
 Each defect takes a clean instance and returns the instance to run; one that
 acts on code rather than data patches it through ``monkeypatch``.  Every
-defect must turn each sub-check it is listed under to FAIL on both instances,
-apart from the strict xfails in ``KNOWN_MISSES``.
+defect must turn each sub-check it is listed under to FAIL on every instance
+of its group, apart from the strict xfails in ``KNOWN_MISSES``.
 """
 
 from dataclasses import replace
@@ -12,9 +12,93 @@ import numpy as np
 import pytest
 
 from conftest import instance
-from rieszgibbs import cli, gibbs, kms, modular, numerics, suites
+from rieszgibbs import cli, gibbs, kms, modular, numerics, riesz, suites
 
 INSTANCES = (("shift_half", 8), ("exp_gen", 16))
+#: the instances each group's defects run on; gibbs is cheap enough for N=64
+GROUP_INSTANCES = {"gibbs": (*INSTANCES, ("shift_half", 64))}
+
+
+def _shift_density(monkeypatch, builder, defect):
+    """``defect(n)`` added to every density the named gibbs builder forms."""
+    formed = getattr(gibbs, builder)
+    monkeypatch.setattr(gibbs, builder, lambda state: formed(state) + defect(state.spectrum.dim))
+
+
+def shifted_sandwich_density(inst, monkeypatch):
+    """Every sandwich density sigma shifted by 1e-7 I."""
+    _shift_density(monkeypatch, "_sandwich_density", lambda n: 1e-7 * np.eye(n))
+    return inst
+
+
+def shifted_trace_density(inst, monkeypatch):
+    """Every trace density rho^H shifted by 1e-7 I."""
+    _shift_density(monkeypatch, "_trace_density", lambda n: 1e-7 * np.eye(n))
+    return inst
+
+
+def faintly_shifted_trace_density(inst, monkeypatch):
+    """Every trace density rho^H shifted by 1e-12 I."""
+    _shift_density(monkeypatch, "_trace_density", lambda n: 1e-12 * np.eye(n))
+    return inst
+
+
+def non_hermitian_trace_density(inst, monkeypatch):
+    """1e-6 on the superdiagonal of every trace density: traceless, so only
+    rho's Hermitian symmetry is broken."""
+    _shift_density(monkeypatch, "_trace_density", lambda n: 1e-6 * np.eye(n, k=1))
+    return inst
+
+
+def indefinite_trace_density(inst, monkeypatch):
+    """Every trace density shifted by -1e-3 I, below its smallest eigenvalue."""
+    _shift_density(monkeypatch, "_trace_density", lambda n: -1e-3 * np.eye(n))
+    return inst
+
+
+def scaled_phi_partition(inst, monkeypatch):
+    """Z_phi scaled by 1 + 1e-6 in the phi state, so its densities are too."""
+    real = gibbs.gibbs_state
+
+    def scaled(system, spectrum, kind):
+        state = real(system, spectrum, kind)
+        return replace(state, partition=state.partition * (1.0 + 1e-6)) if kind == "phi" else state
+
+    monkeypatch.setattr(gibbs, "gibbs_state", scaled)
+    return inst
+
+
+def scaled_phi_columns(inst, monkeypatch):
+    """Column n of the phi family's vectors T F scaled by 1 + 1e-6 n where the
+    gibbs states read them; C = T and the duals kept."""
+    real = gibbs.family
+
+    def scaled(system, kind):
+        fam = real(system, kind)
+        if kind != "phi":
+            return fam
+        return fam._replace(vectors=fam.vectors * (1.0 + 1e-6 * np.arange(system.dim)))
+
+    monkeypatch.setattr(gibbs, "family", scaled)
+    return inst
+
+
+def perturbed_dual_operator(inst, monkeypatch):
+    """The dual system built from (T^-1)^H + 1e-6 on its superdiagonal."""
+
+    def perturbed(system):
+        kick = 1e-6 * np.eye(system.dim, k=1)
+        return riesz.build_system(system.frame, numerics.dagger(system.t_inv) + kick)
+
+    monkeypatch.setattr(riesz, "dual_system", perturbed)
+    return inst
+
+
+def dual_is_the_system(inst, monkeypatch):
+    """The "dual" system is the system itself, so psi_duality compares
+    omega_phi with omega_psi."""
+    monkeypatch.setattr(riesz, "dual_system", lambda system: system)
+    return inst
 
 
 def scaled_kernel(inst, monkeypatch):
@@ -157,8 +241,18 @@ def flow_without_adjoint(inst, monkeypatch):
 #: FAIL.  The strip function is a finite exponential sum whatever its kernel;
 #: in Omega's one eigenbasis sigma_t commutes with the adjoint, u_t with Omega,
 #: and flow phases compose, whatever the unitary, Omega's eigenvalues and the
-#: times are.  So only two-route comparisons are listed.
+#: times are.  So only two-route comparisons are listed.  A trace density
+#: off the defining sum, an indefinite one and one off trace 1 are caught
+#: by trace_orderings, faithfulness_margin and unitality.
 PLANTED = {
+    "gibbs": {
+        "trace_orderings": (shifted_sandwich_density, shifted_trace_density),
+        "ratio_identity": (shifted_trace_density, scaled_phi_columns),
+        "unitality": (faintly_shifted_trace_density, scaled_phi_partition),
+        "hermiticity": (non_hermitian_trace_density,),
+        "faithfulness_margin": (indefinite_trace_density,),
+        "psi_duality": (perturbed_dual_operator, dual_is_the_system),
+    },
     "kms": {
         "phi_boundaries": (scaled_kernel, scaled_boltzmann_rows, scaled_twist_rows),
         "psi_boundaries": (scaled_kernel, scaled_boltzmann_rows, scaled_twist_rows),
@@ -187,6 +281,9 @@ PLANTED = {
 #: (sub-check, defect, preset, n) -> why that defect does not flip it there.
 #: Each is a strict xfail, so the entry must go once the sub-check catches it.
 KNOWN_MISSES = {
+    ("faithfulness_margin", "indefinite_trace_density", "shift_half", 64): (
+        "the clean instance already FAILs faithfulness_margin: 1.3e6 against 1e-12"
+    ),
     ("tomita_involution", "scaled_inverse_power", "exp_gen", 16): (
         "1e-10 cond(Omega)^2 passes a 1e-3 error in Omega^-1: 2.8e-4 under 3.0e-4"
     ),
@@ -197,7 +294,7 @@ def _planted_cases():
     for group, names in PLANTED.items():
         for name, defects in names.items():
             for defect in defects:
-                for preset, n in INSTANCES:
+                for preset, n in GROUP_INSTANCES.get(group, INSTANCES):
                     why = KNOWN_MISSES.get((name, defect.__name__, preset, n))
                     marks = [pytest.mark.xfail(strict=True, reason=why)] if why else []
                     yield pytest.param(
@@ -222,18 +319,73 @@ def test_planted_defect_fails_the_subcheck(group, name, defect, preset, n, monke
     assert not result[name].passed
 
 
+def _gibbs_subs(inst):
+    return {s.name: s for s in suites.check_gibbs(inst, 0, ()).subchecks}
+
+
+_EXACT_REAL_T = (
+    "a real catalog T is diagonal or has entries 0, 1/2 and 1, so each entry of "
+    "rho^H = T (W T^T) / Z sums the same exact products as its mirror"
+)
+_EXACT_INVERSE = (
+    "T^-1 is exact in binary, so the dual system's fresh inversion returns T "
+    "and its psi density is rho_phi bit for bit"
+)
+
+#: (sub-check, preset, n) -> why its gibbs residual reads exactly 0.0 there.
+#: Each is an exact instance, not a check that cannot fail: the sub-check's
+#: first registry defect flips it on the same instance, and it reads > 0 on
+#: the complex exp_gen family.
+EXACT_ZEROS = {
+    **dict.fromkeys(
+        [
+            ("hermiticity", preset, n)
+            for preset, n in (
+                ("shift_half", 8),
+                ("diag_sqrt", 8),
+                ("diag_growth", 8),
+                ("oscillator", 8),
+                ("jordan2", None),
+            )
+        ],
+        _EXACT_REAL_T,
+    ),
+    **dict.fromkeys(
+        [
+            ("psi_duality", preset, n)
+            for preset, n in (("shift_half", 8), ("oscillator", 8), ("jordan2", None))
+        ],
+        _EXACT_INVERSE,
+    ),
+    ("unitality", "oscillator", 16): "T = I: rho's diagonal w_n / Z0 sums to 1 exactly here",
+    ("trace_orderings", "jordan2", None): "N = 2, T's entries 0 and 1: both orderings round alike",
+}
+
+
+@pytest.mark.parametrize(
+    "name,preset,n", list(EXACT_ZEROS), ids=[f"{m}-{p}{n}" for m, p, n in EXACT_ZEROS]
+)
+def test_exact_zero_still_fails_under_its_defect(name, preset, n, monkeypatch):
+    inst = instance(preset, n=n)
+    assert _gibbs_subs(inst)[name].residual == 0.0
+    PLANTED["gibbs"][name][0](inst, monkeypatch)
+    assert not _gibbs_subs(inst)[name].passed
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _, _ in EXACT_ZEROS}))
+def test_exact_zero_subcheck_reads_nonzero_on_a_complex_family(name):
+    assert _gibbs_subs(instance("exp_gen", n=16))[name].residual > 0.0
+
+
 #: the sub-check names each group emits on every instance, in report order
 ALWAYS = {
     "biorthogonality": ["pair_deviation", "frame_unitarity", "naturalness", "dual_family_swap"],
     "gibbs": [
-        "sum_vs_trace",
         "trace_orderings",
         "ratio_identity",
         "unitality",
         "hermiticity",
-        "positivity",
         "faithfulness_margin",
-        "density_trace",
         "psi_duality",
     ],
     "dynamics": [
