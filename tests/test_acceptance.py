@@ -204,28 +204,16 @@ def test_criterion_07_kms_boundaries(rng):
     )
 
 
-def test_criterion_08_modular(rng):
+def test_criterion_08_modular():
+    # S and the vector state are certified for every X with ||X||_F <= 1 at once
     worst_s = worst_state = worst_norm = 0.0
     for name, n in [("jordan2", None), ("oscillator", 8), ("shift_half", 8)]:
         inst = instance(name, n=n)
-        dim = inst.system.dim
         state = gibbs.gibbs_state(inst.system, inst.spectrum, "phi")
         md = modular.modular_data(state)
-        tol_s = 1e-10 * md.cond_omega**2
         worst_norm = max(worst_norm, abs(numerics.frobenius(md.omega) - 1.0))
-        for _ in range(50):
-            x = random_observable(dim, rng)
-            dev = numerics.frobenius(
-                modular.tomita_s(md, x @ md.omega) - x.conj().T @ md.omega
-            )
-            worst_s = max(worst_s, dev / tol_s)
-            worst_state = max(
-                worst_state,
-                abs(
-                    modular.state_via_vector(x @ md.omega, md.omega)
-                    - gibbs.omega_trace(state, x)
-                ),
-            )
+        worst_s = max(worst_s, modular.tomita_residual(md) / (1e-10 * md.cond_omega**2))
+        worst_state = max(worst_state, modular.state_residual(md, state))
     worst_oracle = 0.0
     for name, n in [("jordan2", None), ("oscillator", 4), ("diag_sqrt", 6)]:
         inst = instance(name, n=n)
@@ -245,7 +233,8 @@ def test_criterion_08_modular(rng):
         8,
         "modular structure",
         ok,
-        f"S-involution residual/tolerance {worst_s:.3e}, state agreement {worst_state:.3e} <= 1e-11, "
+        f"S-involution bound/tolerance {worst_s:.3e}, state agreement {worst_state:.3e} <= 1e-11 "
+        f"(both over every X), "
         f"HS-norm defect {worst_norm:.3e} <= 1e-12, Delta spectrum {worst_oracle:.3e} <= 1e-10",
     )
 

@@ -1,4 +1,5 @@
-"""Planted defects for the gibbs, kms and modular sub-checks, and the names every group emits.
+"""Planted defects for the gibbs, entropy, kms and modular sub-checks, and the
+names every group emits.
 
 Each defect takes a clean instance and returns the instance to run; one that
 acts on code rather than data patches it through ``monkeypatch``.  Every
@@ -6,13 +7,15 @@ defect must turn each sub-check it is listed under to FAIL on every instance
 of its group, apart from the strict xfails in ``KNOWN_MISSES``.
 """
 
+import inspect
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import instance
-from rieszgibbs import cli, gibbs, kms, modular, numerics, riesz, suites
+from rieszgibbs import cli, entropy, gibbs, kms, modular, numerics, riesz, suites
 
 INSTANCES = (("shift_half", 8), ("exp_gen", 16))
 #: the instances each group's defects run on; gibbs is cheap enough for N=64
@@ -98,6 +101,65 @@ def dual_is_the_system(inst, monkeypatch):
     """The "dual" system is the system itself, so psi_duality compares
     omega_phi with omega_psi."""
     monkeypatch.setattr(riesz, "dual_system", lambda system: system)
+    return inst
+
+
+def _edit_density_pair(monkeypatch, edit):
+    """``edit(pair)`` applied to every normalized density pair the entropy group builds."""
+    real = entropy.build_density
+
+    def built(system, spectrum, normalize=True):
+        pair = real(system, spectrum, normalize)
+        return edit(pair) if normalize else pair
+
+    monkeypatch.setattr(entropy, "build_density", built)
+
+
+def flipped_log_z0(inst, monkeypatch):
+    """log Z0 added to both normalized logarithms instead of subtracted, as a
+    flipped sign in ``build_density`` gives: 2 log(Z0) I on log rho0 and log rho."""
+
+    def flipped(pair):
+        shift = 2.0 * math.log(pair.z0) * np.eye(pair.spectrum.dim)
+        return replace(pair, log_rho0=pair.log_rho0 + shift, log_rho=pair.log_rho + shift)
+
+    _edit_density_pair(monkeypatch, flipped)
+    return inst
+
+
+def shifted_standard_log(inst, monkeypatch):
+    """log rho0 shifted by 1e-6 I, log rho kept."""
+    _edit_density_pair(
+        monkeypatch, lambda p: replace(p, log_rho0=p.log_rho0 + 1e-6 * np.eye(p.spectrum.dim))
+    )
+    return inst
+
+
+def shifted_deformed_log(inst, monkeypatch):
+    """log rho shifted by 1e-6 I, log rho0 kept."""
+    _edit_density_pair(
+        monkeypatch, lambda p: replace(p, log_rho=p.log_rho + 1e-6 * np.eye(p.spectrum.dim))
+    )
+    return inst
+
+
+def shifted_deformed_density(inst, monkeypatch):
+    """rho shifted by 1e-8 I, rho0 kept."""
+    _edit_density_pair(
+        monkeypatch, lambda p: replace(p, rho=p.rho + 1e-8 * np.eye(p.spectrum.dim))
+    )
+    return inst
+
+
+def scaled_z0(inst, monkeypatch):
+    """Z0 scaled by 1 + 1e-9 where ``build_density`` normalizes by it."""
+    real = entropy.partition_constants
+
+    def scaled(system, spectrum):
+        z = real(system, spectrum)
+        return z._replace(z0=z.z0 * (1.0 + 1e-9))
+
+    monkeypatch.setattr(entropy, "partition_constants", scaled)
     return inst
 
 
@@ -204,13 +266,14 @@ def square_root_delta(inst, monkeypatch):
 
 
 def _plant_flow(monkeypatch, exponents, right=numerics.dagger, scale=1.0):
-    """sigma_t(X) = u X right(u) with u = scale * Omega^{exponents(t)}."""
+    """Flow factors u = scale * Omega^{exponents(t)} and right(u) in place of
+    Omega^{2it} and its adjoint."""
 
-    def flow(md, t, x):
+    def unitaries(md, t):
         u = scale * modular.omega_powers(md, exponents(np.asarray(t)))
-        return u @ x @ right(u)
+        return u, right(u)
 
-    monkeypatch.setattr(modular, "modular_flow", flow)
+    monkeypatch.setattr(modular, "flow_unitaries", unitaries)
 
 
 def scaled_flow_unitary(inst, monkeypatch):
@@ -243,7 +306,9 @@ def flow_without_adjoint(inst, monkeypatch):
 #: and flow phases compose, whatever the unitary, Omega's eigenvalues and the
 #: times are.  So only two-route comparisons are listed.  A trace density
 #: off the defining sum, an indefinite one and one off trace 1 are caught
-#: by trace_orderings, faithfulness_margin and unitality.
+#: by trace_orderings, faithfulness_margin and unitality.  A flipped log Z0
+#: shifts both matrix routes of S alike, so only closed_form, which reads the
+#: weights alone, sees it.
 PLANTED = {
     "gibbs": {
         "trace_orderings": (shifted_sandwich_density, shifted_trace_density),
@@ -253,14 +318,19 @@ PLANTED = {
         "faithfulness_margin": (indefinite_trace_density,),
         "psi_duality": (perturbed_dual_operator, dual_is_the_system),
     },
+    "entropy": {
+        "entropy_equality": (shifted_standard_log, shifted_deformed_log),
+        "closed_form": (flipped_log_z0, shifted_deformed_log),
+        "normalization": (scaled_z0,),
+        "similarity": (shifted_deformed_density,),
+    },
     "kms": {
         "phi_boundaries": (scaled_kernel, scaled_boltzmann_rows, scaled_twist_rows),
         "psi_boundaries": (scaled_kernel, scaled_boltzmann_rows, scaled_twist_rows),
         "dual_consistency": (scaled_kernel,),
     },
     "modular": {
-        "hs_norms": (scaled_omega, raised_omega_eigenvalues),
-        "tomita_involution": (scaled_inverse_power, coarsely_scaled_inverse_power),
+        "tomita_involution": (scaled_inverse_power, coarsely_scaled_inverse_power, scaled_omega),
         "state_representation": (scaled_omega, raised_omega_eigenvalues),
         "delta_positivity": (
             square_root_delta,
@@ -283,9 +353,6 @@ PLANTED = {
 KNOWN_MISSES = {
     ("faithfulness_margin", "indefinite_trace_density", "shift_half", 64): (
         "the clean instance already FAILs faithfulness_margin: 1.3e6 against 1e-12"
-    ),
-    ("tomita_involution", "scaled_inverse_power", "exp_gen", 16): (
-        "1e-10 cond(Omega)^2 passes a 1e-3 error in Omega^-1: 2.8e-4 under 3.0e-4"
     ),
 }
 
@@ -400,10 +467,9 @@ ALWAYS = {
         "eigenvector_residual",
         "hdag_adjoint",
     ],
-    "entropy": ["entropy_equality", "normalization", "similarity"],
+    "entropy": ["entropy_equality", "closed_form", "normalization", "similarity"],
     "kms": ["phi_boundaries", "psi_boundaries", "dual_consistency"],
     "modular": [
-        "hs_norms",
         "tomita_involution",
         "state_representation",
         "delta_positivity",
@@ -438,3 +504,22 @@ def test_emitted_subcheck_names(preset, n):
 def test_registry_covers_every_unconditional_name():
     for group, names in PLANTED.items():
         assert list(names) == ALWAYS[group]
+
+
+def test_registry_has_no_stale_entry():
+    # a known miss no generated case reaches, or a defect no sub-check lists,
+    # is a registry entry that tests nothing
+    cases = {(name, defect.__name__, preset, n) for _, name, defect, preset, n in (
+        case.values for case in _planted_cases()
+    )}
+    assert set(KNOWN_MISSES) - cases == set()
+    listed = {d for names in PLANTED.values() for defects in names.values() for d in defects}
+    defects = {
+        f
+        for name, f in globals().items()
+        if inspect.isfunction(f)
+        and f.__module__ == __name__
+        and not name.startswith(("_", "test_"))
+        and list(inspect.signature(f).parameters) == ["inst", "monkeypatch"]
+    }
+    assert {f.__name__ for f in defects - listed} == set()
