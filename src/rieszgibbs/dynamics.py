@@ -27,19 +27,21 @@ Eigenbasis side.  ``spectral_evolution`` takes X~ = F^H C^{-1} X C F once per
 family and observable, with C F and F^H C^{-1} read from the system's cached
 family; then alpha_t(X) = C F (P_t o X~) F^H C^{-1} with
 P_t[j,k] = e^{it(lambda_j - lambda_k)}, an O(N^2) phase table and two products
-per time, and no propagator.  Phases compose exactly there, so an identity
-never compares two eigenbasis forms: each pits one eigenbasis side against
-one dense similarity side, ``evolve`` = U_t X U_{-t} or ``dense_evolutions``,
-which serves all three evolutions at +-t from one phi propagator pair and
-one frame propagator, at real t only.  A real family (``riesz.family``)
-forms the pair as one similarity, U_{-t} = conj(U_t); a complex one as two.
+per time, and no propagator.  A real family (``riesz.family``) forms the
+propagator pair of ``evolve`` as one similarity, U_{-t} = conj(U_t); a
+complex one as two.
+
+Root.  Every propagator is U_t = V e^{it Lambda} D with V = C F and
+D = F^H C^{-1}, so each identity of the three groups follows from
+E = D V - I being zero; ``group_law_bound`` bounds the group law for every
+real s, t and every X from ||E||_F, one product D V per family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -98,37 +100,6 @@ def evolve(ham: NonHermitianHamiltonian, which: FamilyKind, t: float, x: CMatrix
     return u_fwd @ x @ u_bwd
 
 
-def dense_evolutions(
-    ham: NonHermitianHamiltonian, x: CMatrix, times: Sequence[float]
-) -> Iterator[tuple[int, FamilyKind, CMatrix]]:
-    """(i, which, alpha_{times[i]}(X)) for the three evolutions, densely, one
-    evolution at a time.
-
-    One phi pair U_{+-tau} (one similarity for a real family) and one frame
-    propagator serve every time with |t| = tau: alpha^psi_t(X) =
-    alpha^phi_t(X^H)^H, since e^{itH^dag} = (e^{-itH})^H, and U^f_{-t} =
-    (U^f_t)^H, since F is unitary.
-    """
-    lam = ham.spectrum.lambdas
-    phi, frame = family(ham.system, "phi"), family(ham.system, "f")
-    x_h = numerics.dagger(x)
-    by_abs: dict[float, list[int]] = {}
-    for i, t in enumerate(times):
-        by_abs.setdefault(abs(t), []).append(i)
-    for tau, members in by_abs.items():
-        phases = np.exp(1j * tau * lam)
-        u_fwd, u_bwd = phi.similarity_pair(phases)
-        v_fwd = frame.similarity(phases)
-        for i in members:
-            if times[i] >= 0:
-                fwd, bwd, v = u_fwd, u_bwd, v_fwd
-            else:
-                fwd, bwd, v = u_bwd, u_fwd, numerics.dagger(v_fwd)
-            yield i, "f", v @ x @ numerics.dagger(v)
-            yield i, "phi", fwd @ x @ bwd
-            yield i, "psi", numerics.dagger(fwd @ x_h @ bwd)
-
-
 def generator_of(ham: NonHermitianHamiltonian, which: FamilyKind) -> CMatrix:
     """C H0 C^{-1}: H0, H or H^dag, as cached on the Hamiltonian."""
     return {"f": ham.h0, "phi": ham.h, "psi": ham.h_dag}[which]
@@ -178,6 +149,31 @@ def generator_residuals(alpha: SpectralEvolution, t_steps: Sequence[float]) -> l
     g, x = alpha.generator, alpha.x
     commutator = 1j * (numerics.matmul(g, x) - numerics.matmul(x, g))
     return [numerics.frobenius((alpha(t) - x) / t - commutator) for t in t_steps]
+
+
+def group_law_bound(ham: NonHermitianHamiltonian) -> tuple[float, float]:
+    """(kappa^2 e (2 + e), kappa): a bound on ||alpha_s(alpha_t(X)) - alpha_{s+t}(X)||_F
+    for every real s and t, each of the three evolutions and every X with
+    ||X||_F <= 1, from the families' own arrays V = C F and D = F^H C^{-1}.
+
+    With e_t = diag(e^{it lambda}) and E = D V - I, U_s U_t = V e_s (I + E) e_t D
+    = U_{s+t} + V e_s E e_t D, and likewise U_{-t} U_{-s}.  Let e be the largest
+    ||E||_F over the families (>= ||E||_2) and kappa >= ||V||_2 ||D||_2; then
+    ||U_r||_2 <= kappa and ||V e_s E e_t D||_2 <= kappa e, so expanding
+    (U_{s+t} + A) X (U_{-s-t} + B) leaves ||A X U + U X B + A X B||_F
+    <= kappa^2 e (2 + e).  For kappa: D = (I + E) V^{-1} and V^{-1} = F^{-1} C^{-1}
+    give ||V||_2 ||D||_2 <= (1 + e) cond(C) cond(F), where cond(C) is 1 or
+    cond(T), and cond(F)^2 <= (1 + e_f)/(1 - e_f) since F^H F = I + E_f has its
+    eigenvalues within e_f = ||E_f||_F of 1.  One product D V per family.
+    """
+    eye = np.eye(ham.system.dim)
+    defects = {}
+    for which in ("f", "phi", "psi"):
+        fam = family(ham.system, which)
+        defects[which] = numerics.frobenius(numerics.matmul(fam.duals_h, fam.vectors) - eye)
+    e, e_f = max(defects.values()), defects["f"]
+    kappa = max(ham.system.cond_t, 1.0) * (1.0 + e) * np.sqrt((1.0 + e_f) / (1.0 - e_f))
+    return kappa**2 * e * (2.0 + e), kappa
 
 
 def spectrum_residual(ham: NonHermitianHamiltonian) -> float:

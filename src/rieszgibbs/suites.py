@@ -150,10 +150,18 @@ def check_gibbs(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> Grou
 
 
 def check_dynamics(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> GroupResult:
-    """similarity propagators e^{itH} = T e^{itH0} T^-1 and
-    e^{itH*} = (T*)^-1 e^{itH0} T*: group law, (e^{itH})* = e^{-itH*},
-    alpha^phi_t(X)* = alpha^psi_t(X*), generators H0 / H / H*, and the
-    real spectrum of H = T H0 T^-1."""
+    """similarity propagators U_t = V e^{it Lambda} D, with V = C F,
+    D = F* C^-1 and C = I, T or (T*)^-1 for e^{itH0}, e^{itH} and e^{itH*}.
+    group_law: alpha_s(alpha_t(X)) = alpha_{s+t}(X) for every real s, t,
+    every evolution and every X with ||X||_F <= 1, as the bound
+    kappa^2 e (2 + e) from U_s U_t - U_{s+t} = V e^{is Lambda} E e^{it Lambda} D,
+    with e = max ||E||_F over the families' roots E = D V - I and
+    kappa >= ||V||_2 ||D||_2; intertwining: alpha^phi_t(X) T =
+    T alpha^0_t(T^-1 X T); generator_halving: (alpha_t(X) - X)/t - i[G, X]
+    halves with t for G = H0, H, H*; commuting_generator: alpha_t(G) = G;
+    norm_continuity at t = 1e-8; spectral_reality: the eigenvalues of
+    H = T H0 T^-1 are the real lambda_n; eigenvector_residual:
+    H phi_n = lambda_n phi_n and H* psi_n = lambda_n psi_n."""
     system, spectrum = inst.system, inst.spectrum
     rng = _group_rng(seed, "dynamics")
     n = system.dim
@@ -161,26 +169,16 @@ def check_dynamics(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> G
     lam_max = float(spectrum.lambdas[-1])
     ham = dyn.hamiltonian(system, spectrum)
     x = models.random_observable(n, rng)
-    pairs = [(0.3, 0.9), (-2.0, 5.5), (4.0, -7.5)]
 
-    # each identity: one eigenbasis side (spectral_evolution) against one dense
-    # similarity side (evolve); X~ is formed once per family and observable
+    # the eigenbasis side (spectral_evolution, X~ formed once per family and
+    # observable) against the dense similarity side (evolve)
     spectral = {which: dyn.spectral_evolution(ham, which, x) for which in ("f", "phi", "psi")}
-    psi_of_adjoint = dyn.spectral_evolution(ham, "psi", numerics.dagger(x))
     pulled = dyn.spectral_evolution(ham, "f", numerics.matmul(system.t_inv, x, system.t_op))
-    r_group = r_adjoint = r_inter = 0.0
-    for i, which, dense in dyn.dense_evolutions(ham, x, [s + t for s, t in pairs]):
-        r_group = max(r_group, numerics.frobenius(dense - spectral[which](*pairs[i])))
-    for s, t in pairs:
+    r_inter = 0.0
+    for t in (0.9, 5.5, -7.5):
         dense = dyn.evolve(ham, "phi", t, x)
-        r_adjoint = max(r_adjoint, numerics.frobenius(numerics.dagger(dense) - psi_of_adjoint(t)))
         defect = numerics.matmul(dense, system.t_op) - numerics.matmul(system.t_op, pulled(t))
         r_inter = max(r_inter, numerics.frobenius(defect))
-    t_probe = 1.5
-    r_prop = numerics.frobenius(
-        numerics.dagger(dyn.propagator(ham, "phi", t_probe))
-        - dyn.propagator(ham, "psi", -t_probe)
-    )
 
     r_halving = 0.0
     for alpha in spectral.values():
@@ -197,9 +195,7 @@ def check_dynamics(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> G
     cont_tol = 4.0 * t_cont * lam_max * max(cond_t, 1.0) ** 2 + 1e-12
 
     subs = [
-        SubCheck("group_law", r_group, 1e-11),
-        SubCheck("adjoint_pairing", r_adjoint, 1e-11),
-        SubCheck("propagator_adjoint", r_prop, 1e-12 * cond_t**2),
+        SubCheck("group_law", dyn.group_law_bound(ham)[0], 1e-11 * cond_t**2),
         SubCheck("intertwining", r_inter, 1e-11 * cond_t**2),
         SubCheck("generator_halving", r_halving, 0.1),
         SubCheck("commuting_generator", r_commuting, 1e-10),
@@ -209,11 +205,6 @@ def check_dynamics(inst: ModelInstance, seed: int, t_grid: Sequence[float]) -> G
             "eigenvector_residual",
             dyn.eigenvector_residual(ham),
             dyn.generator_tolerance(cond_t, spectrum.lambdas),
-        ),
-        SubCheck(
-            "hdag_adjoint",
-            numerics.frobenius(ham.h_dag - numerics.dagger(ham.h)),
-            1e-12 * max(numerics.frobenius(ham.h), 1.0),
         ),
     ]
     return _finish("dynamics", subs)

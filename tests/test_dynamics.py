@@ -1,9 +1,8 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from conftest import instance
+from test_planted import root_defect
 from rieszgibbs import cli, dynamics, gibbs, models, numerics, riesz, suites
 from rieszgibbs.models import random_observable
 
@@ -163,22 +162,7 @@ class TestDeformedEvolutions:
         ) <= 1e-12
 
 
-class TestDenseEvolutions:
-    def test_match_evolve_on_random_frame(self, rng):
-        # psi from the adjoint of the phi evolution of X^H, f from U^f_{-t} = (U^f_t)^H
-        frame = models.random_unitary(16, rng)
-        t_op = models.build_t({"rule": "shift_perturbed", "epsilon": 0.5}, 16)
-        system = riesz.build_system(frame, t_op)
-        ham = dynamics.hamiltonian(system, gibbs.Spectrum(lambdas=1.0 + np.arange(16), beta=1.0))
-        x = random_observable(16, rng)
-        times = (1.2, -3.5, 3.5, 0.0)
-        seen = set()
-        for i, which, dense in dynamics.dense_evolutions(ham, x, times):
-            ref = dynamics.evolve(ham, which, times[i], x)
-            assert numerics.frobenius(dense - ref) <= 1e-13 * system.cond_t**2 * numerics.frobenius(ref)
-            seen.add((i, which))
-        assert seen == {(i, w) for i in range(4) for w in ("f", "phi", "psi")}
-
+class TestSimilarityCount:
     @pytest.mark.parametrize(
         "name, count", [("shift_half", 1), ("exp_gen", 2)], ids=["real", "complex"]
     )
@@ -200,11 +184,10 @@ class TestDenseEvolutions:
 
     @pytest.mark.parametrize(
         "name, count",
-        # H0, H, H^dag once each; the group law's phi pair and frame propagator
-        # per |s + t| (1.2 and 3.5); evolve at the three adjoint-pairing times;
-        # the two propagators of propagator_adjoint.  The real shift_half family
-        # forms each phi pair from one similarity, the complex exp_gen one from two
-        [("shift_half", 3 + 2 * 2 + 3 * 1 + 2), ("exp_gen", 3 + 2 * 3 + 3 * 2 + 2)],
+        # H0, H, H^dag once each, and evolve's phi pair at the three intertwining
+        # times: one similarity per pair for the real shift_half family, two for
+        # the complex exp_gen one.  The group law bound forms no propagator
+        [("shift_half", 3 + 3 * 1), ("exp_gen", 3 + 3 * 2)],
         ids=["real", "complex"],
     )
     def test_check_dynamics_similarity_count(self, monkeypatch, name, count):
@@ -280,78 +263,19 @@ class TestSpectralData:
         assert defect <= 1e-12 * numerics.frobenius(ham.h)
 
 
-# Planted defects for the dynamics sub-checks that pit an eigenbasis side
-# (spectral_evolution) against a dense similarity side.  Each defect takes a
-# clean instance and returns the instance to run; one that acts on code rather
-# than data patches it through ``monkeypatch``.
+EXACT_IN_BINARY = ("group_law", "spectral_reality", "eigenvector_residual")
 
-
-def perturbed_psi_column(inst, monkeypatch):
-    """psi_3 moved by 1e-3 psi_5, off biorthogonality; T and phi stay."""
-    psi = inst.system.psi.copy()
-    psi[:, 3] += 1e-3 * psi[:, 5]
-    return inst._replace(system=replace(inst.system, psi=psi))
-
-
-def wrong_eigenbasis_phase(inst, monkeypatch):
-    """The eigenbasis side evolves with lambda_0 + 0.1; the dense side keeps lambda_0."""
-    real = dynamics.spectral_evolution
-
-    def shifted(ham, which, x):
-        alpha = real(ham, which, x)
-        lambdas = alpha.lambdas.copy()
-        lambdas[0] += 0.1
-        return alpha._replace(lambdas=lambdas)
-
-    monkeypatch.setattr(dynamics, "spectral_evolution", shifted)
-    return inst
-
-
-def perturbed_pullback_t(inst, monkeypatch):
-    """T_{0,N-1} moved by 1e-3 where the intertwining pulls X back (T^-1 X T and
-    the outer T factors); the phi and psi families keep the true T."""
-    t_op = inst.system.t_op.copy()
-    t_op[0, -1] += 1e-3
-    return inst._replace(system=replace(inst.system, t_op=t_op))
-
-
-#: sub-check name -> planted defects, each of which must turn it to FAIL.  The
-#: group law and the adjoint pairing hold for any biorthogonal-looking columns,
-#: so only a wrong eigenbasis phase reaches them.
-PLANTED_DYNAMICS = {
-    "group_law": (wrong_eigenbasis_phase,),
-    "adjoint_pairing": (wrong_eigenbasis_phase,),
-    "intertwining": (perturbed_pullback_t, perturbed_psi_column, wrong_eigenbasis_phase),
-    "generator_halving": (perturbed_psi_column, wrong_eigenbasis_phase),
-}
-
-
-@pytest.mark.parametrize(
-    "name,defect",
-    [(name, defect) for name, defects in PLANTED_DYNAMICS.items() for defect in defects],
-    ids=lambda v: v if isinstance(v, str) else v.__name__,
-)
-def test_planted_defect_fails_the_subcheck(name, defect, monkeypatch):
-    inst = instance("shift_half", n=16)
-    clean = {s.name: s for s in suites.check_dynamics(inst, 0, ()).subchecks}
-    assert clean[name].passed
-    planted = defect(inst, monkeypatch)
-    result = {s.name: s for s in suites.check_dynamics(planted, 0, ()).subchecks}
-    assert not result[name].passed
-
-
-EXACT_IN_BINARY = ("propagator_adjoint", "spectral_reality", "eigenvector_residual", "hdag_adjoint")
-
-#: the 14 dynamics and kms sub-checks that read exactly 0.0 on the default
+#: the 12 dynamics and kms sub-checks that read exactly 0.0 on the default
 #: verify (seed 0, the CLI's t grid) at N=16.  With T = I (oscillator),
 #: T = I + L/2 and its dyadic inverse (shift_half) or a diagonal T
-#: (diag_growth), these identities come out exact in floating point.  Every
-#: other residual carries roundoff; one that newly reads 0.0 would hint at a
-#: check that lost one of its two routes.
+#: (diag_growth), these identities come out exact in floating point; the
+#: group law's root D V - I is exact there at every N (diag_growth up to
+#: N = 32).  Every other residual carries roundoff; one that newly reads 0.0
+#: would hint at a check that lost one of its two routes.
 ZERO_RESIDUALS = {
     "shift_half": {*EXACT_IN_BINARY, "dual_consistency"},
     "oscillator": {*EXACT_IN_BINARY, "dual_consistency"},
-    "diag_growth": {*EXACT_IN_BINARY[1:], "dual_consistency"},
+    "diag_growth": {*EXACT_IN_BINARY, "dual_consistency"},
     "diag_sqrt": set(),
     "exp_gen": set(),
 }
@@ -367,3 +291,66 @@ def test_exactly_the_known_residuals_read_zero(name):
         if s.residual == 0.0
     }
     assert zeros == ZERO_RESIDUALS[name]
+
+
+def _group_law(inst):
+    return suites.check_dynamics(inst, 0, ()).subchecks[0]
+
+
+def test_group_law_reads_nonzero_on_a_complex_family():
+    assert _group_law(instance("exp_gen", n=16)).residual > 0.0
+
+
+def test_root_defect_flips_the_exact_group_law(monkeypatch):
+    inst = instance("shift_half", n=16)
+    assert _group_law(inst).residual == 0.0
+    assert not _group_law(root_defect(inst, monkeypatch)).passed
+
+
+def _random_frame_instance(n):
+    frame = models.random_unitary(n, np.random.default_rng(7))
+    system = riesz.build_system(frame, models.build_t({"rule": "shift_perturbed", "epsilon": 0.5}, n))
+    return models.ModelInstance(system, gibbs.Spectrum(lambdas=1.0 + np.arange(n), beta=1.0), {})
+
+
+#: shift_half (E = 0 exactly), exp_gen (a complex family) and a random frame
+#: (the frame family's own F^H F - I nonzero), each clean and under the root defect
+BOUND_CASES = [
+    pytest.param(make, planted, id=f"{name}-{'root' if planted else 'clean'}")
+    for name, make in (
+        ("shift_half8", lambda: instance("shift_half", n=8)),
+        ("exp_gen16", lambda: instance("exp_gen", n=16)),
+        ("random_frame16", lambda: _random_frame_instance(16)),
+    )
+    for planted in (False, True)
+]
+
+
+class TestGroupLawBound:
+    @pytest.mark.parametrize("make, planted", BOUND_CASES)
+    def test_dominates_the_dense_route(self, make, planted, monkeypatch):
+        # the bound holds in exact arithmetic on the families' arrays; the dense
+        # route adds its own rounding, gamma_N per product of norm <= kappa^4
+        inst = root_defect(make(), monkeypatch) if planted else make()
+        ham = dynamics.hamiltonian(inst.system, inst.spectrum)
+        bound = _group_law(inst).residual
+        n = inst.system.dim
+        rounding = 8 * n * np.finfo(float).eps * dynamics.group_law_bound(ham)[1] ** 4
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            s, t = rng.uniform(-10.0, 10.0, 2)
+            x = random_observable(n, rng)
+            for which in ("f", "phi", "psi"):
+                twice = dynamics.evolve(ham, which, s, dynamics.evolve(ham, which, t, x))
+                gap = numerics.frobenius(twice - dynamics.evolve(ham, which, s + t, x))
+                assert gap <= bound + rounding
+        if planted:
+            assert rounding < 1e-6 * bound
+
+    @pytest.mark.parametrize("make, planted", BOUND_CASES)
+    def test_kappa_bounds_every_family(self, make, planted, monkeypatch):
+        inst = root_defect(make(), monkeypatch) if planted else make()
+        kappa = dynamics.group_law_bound(dynamics.hamiltonian(inst.system, inst.spectrum))[1]
+        for which in ("f", "phi", "psi"):
+            fam = riesz.family(inst.system, which)
+            assert kappa >= np.linalg.norm(fam.vectors, 2) * np.linalg.norm(fam.duals_h, 2)

@@ -1,5 +1,5 @@
-"""Planted defects for the gibbs, entropy, kms and modular sub-checks, and the
-names every group emits.
+"""Planted defects for the gibbs, dynamics, entropy, kms and modular
+sub-checks, and the names every group emits.
 
 Each defect takes a clean instance and returns the instance to run; one that
 acts on code rather than data patches it through ``monkeypatch``.  Every
@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from conftest import instance
-from rieszgibbs import cli, entropy, gibbs, kms, modular, numerics, riesz, suites
+from rieszgibbs import cli, dynamics, entropy, gibbs, kms, modular, numerics, riesz, suites
 
 INSTANCES = (("shift_half", 8), ("exp_gen", 16))
-#: the instances each group's defects run on; gibbs is cheap enough for N=64
-GROUP_INSTANCES = {"gibbs": (*INSTANCES, ("shift_half", 64))}
+#: the instances each group's defects run on; gibbs and dynamics are cheap enough for N=64
+GROUP_INSTANCES = {group: (*INSTANCES, ("shift_half", 64)) for group in ("gibbs", "dynamics")}
 
 
 def _shift_density(monkeypatch, builder, defect):
@@ -102,6 +102,54 @@ def dual_is_the_system(inst, monkeypatch):
     omega_phi with omega_psi."""
     monkeypatch.setattr(riesz, "dual_system", lambda system: system)
     return inst
+
+
+def _scaled_psi_column(inst, eps):
+    """psi_3 scaled by 1 + eps in the system; T, T^-1 and phi kept."""
+    psi = inst.system.psi.copy()
+    psi[:, 3] *= 1.0 + eps
+    return inst._replace(system=replace(inst.system, psi=psi))
+
+
+def root_defect(inst, monkeypatch):
+    """Row 3 of the phi family's D = psi^H scaled by 1 + 1e-6, so that the root
+    D V - I is 1e-6 e_3 e_3^T; the psi family, read off the same columns, stays
+    the adjoint of phi's."""
+    return _scaled_psi_column(inst, 1e-6)
+
+
+def coarse_root_defect(inst, monkeypatch):
+    """The root defect at 1 + 1e-3."""
+    return _scaled_psi_column(inst, 1e-3)
+
+
+def perturbed_psi_column(inst, monkeypatch):
+    """psi_3 moved by 1e-3 psi_5, off biorthogonality; T and phi stay."""
+    psi = inst.system.psi.copy()
+    psi[:, 3] += 1e-3 * psi[:, 5]
+    return inst._replace(system=replace(inst.system, psi=psi))
+
+
+def wrong_eigenbasis_phase(inst, monkeypatch):
+    """The eigenbasis side evolves with lambda_0 + 0.1; the dense side keeps lambda_0."""
+    real = dynamics.spectral_evolution
+
+    def shifted(ham, which, x):
+        alpha = real(ham, which, x)
+        lambdas = alpha.lambdas.copy()
+        lambdas[0] += 0.1
+        return alpha._replace(lambdas=lambdas)
+
+    monkeypatch.setattr(dynamics, "spectral_evolution", shifted)
+    return inst
+
+
+def perturbed_pullback_t(inst, monkeypatch):
+    """T_{0,N-1} moved by 1e-3 where the intertwining pulls X back (T^-1 X T and
+    the outer T factors); the phi and psi families keep the true T."""
+    t_op = inst.system.t_op.copy()
+    t_op[0, -1] += 1e-3
+    return inst._replace(system=replace(inst.system, t_op=t_op))
 
 
 def _edit_density_pair(monkeypatch, edit):
@@ -318,6 +366,20 @@ PLANTED = {
         "faithfulness_margin": (indefinite_trace_density,),
         "psi_duality": (perturbed_dual_operator, dual_is_the_system),
     },
+    "dynamics": {
+        "group_law": (root_defect, perturbed_psi_column),
+        "intertwining": (
+            perturbed_pullback_t,
+            perturbed_psi_column,
+            wrong_eigenbasis_phase,
+            root_defect,
+        ),
+        "generator_halving": (perturbed_psi_column, wrong_eigenbasis_phase, coarse_root_defect),
+        "commuting_generator": (root_defect,),
+        "norm_continuity": (coarse_root_defect,),
+        "spectral_reality": (root_defect,),
+        "eigenvector_residual": (root_defect,),
+    },
     "entropy": {
         "entropy_equality": (shifted_standard_log, shifted_deformed_log),
         "closed_form": (flipped_log_z0, shifted_deformed_log),
@@ -353,6 +415,10 @@ PLANTED = {
 KNOWN_MISSES = {
     ("faithfulness_margin", "indefinite_trace_density", "shift_half", 64): (
         "the clean instance already FAILs faithfulness_margin: 1.3e6 against 1e-12"
+    ),
+    ("generator_halving", "wrong_eigenbasis_phase", "shift_half", 64): (
+        "the lambda_0 offset adds a t-independent ~1e-2 to the difference quotient, "
+        "under its t-linear 0.53 at t = 1e-3 and lambda_N = 64, so r2/r1 reads 0.501"
     ),
 }
 
@@ -457,15 +523,12 @@ ALWAYS = {
     ],
     "dynamics": [
         "group_law",
-        "adjoint_pairing",
-        "propagator_adjoint",
         "intertwining",
         "generator_halving",
         "commuting_generator",
         "norm_continuity",
         "spectral_reality",
         "eigenvector_residual",
-        "hdag_adjoint",
     ],
     "entropy": ["entropy_equality", "closed_form", "normalization", "similarity"],
     "kms": ["phi_boundaries", "psi_boundaries", "dual_consistency"],
